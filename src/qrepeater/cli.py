@@ -20,7 +20,7 @@ import sys
 from .analysis import (
     apply_overrides,
     asymptotic_fidelity,
-    fixed_point_at_distance,
+    prefix_fixed_points,
     sweep,
 )
 from .bell import fidelity
@@ -98,24 +98,11 @@ def cmd_link(config: RunConfig, oracle: bool = False) -> str:
 def cmd_simulate(config: RunConfig) -> str:
     """Fidelity, fixed point and expected time at every schedule prefix
     span up to the target."""
-    pcfg = config.protocol_config()
     t_link = expected_link_time(config.link_params())
-    spans = [1] + [2 * n + 1 for n in pcfg.schedule]
     rows = []
-    for span in spans:
-        sub = apply_overrides(pcfg, target_span=span)
-        fp = fixed_point_at_distance(sub, span)
-        if span == 1:
-            from .protocol import elementary_pair
-
-            pair = elementary_pair(sub)
-            fid, t_total = fidelity(pair.state), pair.expected_time
-        else:
-            result = run_protocol(sub)
-            fid, t_total = fidelity(result.final.state), result.total_expected_time
-        rows.append(
-            [span, span * config.l0_km, fid, fp.value, t_total, t_total / t_link]
-        )
+    for pair, fp in prefix_fixed_points(config.protocol_config()):
+        t, fid = pair.expected_time, fidelity(pair.state)
+        rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, t / t_link])
     header = [
         "span_segments",
         "distance_km",
@@ -141,11 +128,10 @@ def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
         ]
         return _render_csv(config, "fixed-point", header, rows)
     asym = asymptotic_fidelity(pcfg)
-    spans = [1] + [2 * n + 1 for n in pcfg.schedule]
-    rows = []
-    for span in spans:
-        fp = fixed_point_at_distance(pcfg, span)
-        rows.append([span, span * config.l0_km, fp.value, asym.value])
+    rows = [
+        [pair.span, pair.span * config.l0_km, fp.value, asym.value]
+        for pair, fp in prefix_fixed_points(pcfg)
+    ]
     header = ["span_segments", "distance_km", "f_fp", "f_inf"]
     return _render_csv(config, "fixed-point", header, rows)
 

@@ -17,6 +17,7 @@ Carlo sampler of the same process.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -126,7 +127,11 @@ class ProtocolConfig:
             raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
 
     def m_at_level(self, level: int) -> int:
-        return self.m if isinstance(self.m, int) else self.m[level]
+        """Pumping depth at a nesting level; levels beyond a per-level
+        tuple reuse its last entry."""
+        if isinstance(self.m, int):
+            return self.m
+        return self.m[min(level, len(self.m) - 1)]
 
 
 @dataclass(frozen=True)
@@ -233,25 +238,18 @@ def _span_pair(
         return elementary_pair(config)
     if built and span in built:
         return built[span]
-    prob, unit = _link_prob_and_unit(config)
-    if span % 2 == 0:
-        half = _span_pair(config, span // 2, built)
-        state = swap(half.state, half.state, config.noise)
-        if span == 2:
-            group = max_of_geometric(2, prob, unit)
-        else:
-            group = max_all([half.duration, half.duration])
-        dur = group.shifted(config.link.tc_s)
-    else:
+    if span % 2:
         half = _span_pair(config, (span - 1) // 2, built)
-        elem = _elementary_state(config)
-        state = connect_chain([half.state, elem, half.state], config.noise)
-        if half.span == 1:
-            group = max_of_geometric(3, prob, unit)
-        else:
-            link = max_of_geometric(1, prob, unit)
-            group = max_all([half.duration, half.duration, link])
-        dur = group.shifted(config.link.tc_s)
+        b = build_b_pair(half, half, config)
+        return PairRecord("A", span, b.state, b.expected_time, 1.0, b.time_var)
+    prob, unit = _link_prob_and_unit(config)
+    half = _span_pair(config, span // 2, built)
+    state = swap(half.state, half.state, config.noise)
+    if span == 2:
+        group = max_of_geometric(2, prob, unit)
+    else:
+        group = max_all([half.duration, half.duration])
+    dur = group.shifted(config.link.tc_s)
     return PairRecord("A", span, state, dur.mean, 1.0, dur.var)
 
 
@@ -270,23 +268,38 @@ def _helper_pair(
     Returns the helper record and the refining round's acceptance
     probability (None when the refinement is skipped).
     """
-    if span == 1:
-        return elementary_pair(config), None
-    if span % 2 != 0:
-        return _span_pair(config, span, built), None
-    prob, unit = _link_prob_and_unit(config)
-    half = _span_pair(config, span // 2, built)
-    swapped = swap(half.state, half.state, config.noise)
-    if half.span == 1:
-        base = max_of_geometric(2, prob, unit).shifted(config.link.tc_s)
-    else:
-        base = max_all([half.duration, half.duration]).shifted(config.link.tc_s)
-    outcome = purify(swapped, swapped, config.noise)
+    swapped = _span_pair(config, span, built)
+    if span % 2:
+        return swapped, None
+    outcome = purify(swapped.state, swapped.state, config.noise)
     if not outcome.purifiable:
-        return PairRecord("A", span, swapped, base.mean, 1.0, base.var), None
+        return swapped, None
+    base = swapped.duration
     dur = restarting_rounds(base, base, config.link.tc_s, [outcome.success_prob])
     record = PairRecord("A", span, outcome.state, dur.mean, 1.0, dur.var)
     return record, outcome.success_prob
+
+
+def _c_pair(
+    config: ProtocolConfig, n: int, built: dict[int, PairRecord] | None
+) -> tuple[PairRecord, float | None]:
+    """:func:`build_c_pair` plus the helper refinement's acceptance
+    probability (None for n = 1 or an unrefined helper)."""
+    if n < 1:
+        raise ValueError(f"build_c_pair needs n >= 1, got {n!r}")
+    prob, unit = _link_prob_and_unit(config)
+    elem = _elementary_state(config)
+    if n == 1:
+        state = connect_chain([elem, elem, elem], config.noise)
+        dur = max_of_geometric(3, prob, unit).shifted(config.link.tc_s)
+        helper_q = None
+    else:
+        sub, helper_q = _helper_pair(config, n - 1, built)
+        state = connect_chain([elem, sub.state, elem, sub.state, elem], config.noise)
+        links = max_of_geometric(3, prob, unit)
+        group = max_all([sub.duration, sub.duration, links])
+        dur = group.shifted(config.link.tc_s)
+    return PairRecord("C", 2 * n + 1, state, dur.mean, 1.0, dur.var), helper_q
 
 
 def build_c_pair(
@@ -301,38 +314,22 @@ def build_c_pair(
     the two of them occupy disjoint segments and race concurrently with
     the three links.
     """
-    if n < 1:
-        raise ValueError(f"build_c_pair needs n >= 1, got {n!r}")
-    prob, unit = _link_prob_and_unit(config)
-    elem = _elementary_state(config)
-    if n == 1:
-        state = connect_chain([elem, elem, elem], config.noise)
-        dur = max_of_geometric(3, prob, unit).shifted(config.link.tc_s)
-    else:
-        sub, _ = _helper_pair(config, n - 1, built)
-        state = connect_chain([elem, sub.state, elem, sub.state, elem], config.noise)
-        links = max_of_geometric(3, prob, unit)
-        group = max_all([sub.duration, sub.duration, links])
-        dur = group.shifted(config.link.tc_s)
-    return PairRecord("C", 2 * n + 1, state, dur.mean, 1.0, dur.var)
+    return _c_pair(config, n, built)[0]
 
 
-def pump(
+def _pump(
     b: PairRecord,
     c_supplier: Iterator[PairRecord],
     m: int,
     config: ProtocolConfig,
-    level: int | None = None,
-) -> PairRecord:
-    """Purify the stored B pair m consecutive times with pairs drawn from
-    ``c_supplier``; all rounds must accept, and any rejection restarts
-    the level from scratch (that enters the time, not the conditioned
-    state).  m = 0 relabels the B pair as A."""
+    level: int | None,
+) -> tuple[PairRecord, tuple[float, ...]]:
+    """:func:`pump` plus the acceptance probability of each step."""
     where = f" at level {level}" if level is not None else ""
     if b.species != "B":
         raise ValueError(f"pump needs a B pair, got species {b.species!r}")
     if m == 0:
-        return PairRecord("A", b.span, b.state, b.expected_time, 1.0, b.time_var)
+        return PairRecord("A", b.span, b.state, b.expected_time, 1.0, b.time_var), ()
     state = b.state
     probs: list[float] = []
     c_duration = None
@@ -352,59 +349,67 @@ def pump(
         probs.append(outcome.success_prob)
         c_duration = c.duration
     dur = restarting_rounds(b.duration, c_duration, config.link.tc_s, probs)
-    return PairRecord("A", b.span, state, dur.mean, math.prod(probs), dur.var)
+    a = PairRecord("A", b.span, state, dur.mean, math.prod(probs), dur.var)
+    return a, tuple(probs)
+
+
+def pump(
+    b: PairRecord,
+    c_supplier: Iterator[PairRecord],
+    m: int,
+    config: ProtocolConfig,
+    level: int | None = None,
+) -> PairRecord:
+    """Purify the stored B pair m consecutive times with pairs drawn from
+    ``c_supplier``; all rounds must accept, and any rejection restarts
+    the level from scratch (that enters the time, not the conditioned
+    state).  m = 0 relabels the B pair as A."""
+    return _pump(b, c_supplier, m, config, level)[0]
 
 
 @dataclass(frozen=True)
-class _Level:
-    """Internal per-level trace shared by the analytic and sampling paths."""
+class Level:
+    """One nesting level, built once and read by the analytic result, the
+    fixed-point analysis and the sampler: the input span n, the stored B
+    pair over 2n+1 segments, its C fodder, the acceptance probability of
+    each of the m pump steps, the helper refinement's acceptance (None
+    when there is none) and the purified A output."""
 
     input_span: int
     b: PairRecord
-    c: PairRecord | None
+    c: PairRecord
     step_probs: tuple[float, ...]
+    helper_q: float | None
     a: PairRecord
-    helper_q: float | None = None
 
 
-def _build_levels(config: ProtocolConfig) -> tuple[dict[int, PairRecord], list[_Level]]:
+def ladder(config: ProtocolConfig) -> Iterator[Level]:
+    """Nesting levels over input spans 1, 3, 7, ..., built bottom-up one
+    at a time from the level below, without end; level i pumps
+    ``config.m_at_level(i)`` times.  An unpurifiable pump raises
+    :class:`ProtocolError` when its level is reached."""
     built: dict[int, PairRecord] = {1: elementary_pair(config)}
-    levels: list[_Level] = []
-    current = built[1]
-    for idx, n in enumerate(config.schedule):
-        m = config.m_at_level(idx)
-        b = build_b_pair(current, current, config)
-        c = None
-        helper_q = None
-        if m > 0:
-            c = build_c_pair(config, n, built)
-            if n > 1:
-                _, helper_q = _helper_pair(config, n - 1, built)
-
-        def c_gen() -> Iterator[PairRecord]:
-            while True:
-                yield c
-
-        a = pump(b, c_gen(), m, config, level=idx)
-        step_probs: list[float] = []
-        if m > 0:
-            state = b.state
-            for _ in range(m):
-                outcome = purify(state, c.state, config.noise)
-                state = outcome.state
-                step_probs.append(outcome.success_prob)
+    n = 1
+    for idx in itertools.count():
+        b = build_b_pair(built[n], built[n], config)
+        c, helper_q = _c_pair(config, n, built)
+        a, step_probs = _pump(b, itertools.repeat(c), config.m_at_level(idx), config, idx)
         built[a.span] = a
-        levels.append(_Level(n, b, c, tuple(step_probs), a, helper_q))
-        current = a
-    return built, levels
+        yield Level(n, b, c, step_probs, helper_q, a)
+        n = a.span
+
+
+def _build_levels(config: ProtocolConfig) -> list[Level]:
+    """The ladder up to the configured target span."""
+    return list(itertools.islice(ladder(config), len(config.schedule)))
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run the nested scheme across the whole schedule and return the
     final pair, the per-level A-pair snapshots and the total expected
     time."""
-    built, levels = _build_levels(config)
-    final = levels[-1].a if levels else built[1]
+    levels = _build_levels(config)
+    final = levels[-1].a if levels else elementary_pair(config)
     return ProtocolResult(
         final=final,
         per_level=tuple(level.a for level in levels),
@@ -436,7 +441,7 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     prob, unit = _link_prob_and_unit(config)
     tc = config.link.tc_s
-    _, levels = _build_levels(config)
+    levels = _build_levels(config)
     by_output_span = {2 * lv.input_span + 1: i for i, lv in enumerate(levels)}
     rng = np.random.default_rng(seed)
 

@@ -3,6 +3,12 @@
 import pytest
 
 from qrepeater.analysis import (
+    ASYMPTOTE_MAX_LEVELS,
+    ASYMPTOTE_TOL,
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
+    USEFUL_FIDELITY_FLOOR,
+    FixedPointResult,
     apply_overrides,
     asymptotic_fidelity,
     fixed_point_at_distance,
@@ -10,8 +16,17 @@ from qrepeater.analysis import (
 )
 from qrepeater.bell import fidelity, from_fidelity
 from qrepeater.channel import LinkParams
+from qrepeater.config import load_config
 from qrepeater.ops import NoiseParams, purify
-from qrepeater.protocol import ProtocolConfig, run_protocol
+from qrepeater.protocol import (
+    ProtocolConfig,
+    ProtocolError,
+    build_b_pair,
+    build_c_pair,
+    default_schedule,
+    elementary_pair,
+    run_protocol,
+)
 
 #: Fixed points of adjacent nesting levels wobble by a few 1e-4 because
 #: the pumping map alternates error types between rounds; monotonicity
@@ -187,3 +202,164 @@ class TestSweep:
             assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
             assert row["f_fp"] == pytest.approx(1.0, abs=1e-9)
             assert row["f_inf"] == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_ITER):
+    """The from-scratch definition of F_FP: run the whole protocol for the
+    span, rebuild the top level's B and C pairs, and pump until stall."""
+    if span == 1:
+        return FixedPointResult(fidelity(elementary_pair(config).state), 0, True, tol)
+    schedule = default_schedule(span)
+    if isinstance(config.m, int):
+        m = config.m
+    else:
+        m = tuple(
+            config.m[i] if i < len(config.m) else config.m[-1]
+            for i in range(len(schedule))
+        )
+    sub = ProtocolConfig(
+        link=config.link, noise=config.noise, m=m, target_span=span,
+        schedule=schedule, f0=config.f0,
+    )
+    built = {1: elementary_pair(sub)}
+    for record in run_protocol(sub).per_level:
+        built[record.span] = record
+    n_top = schedule[-1]
+    b = build_b_pair(built[n_top], built[n_top], sub)
+    c = build_c_pair(sub, n_top, built)
+    state = b.state
+    value = fidelity(state)
+    small_steps = 0
+    for iteration in range(1, max_iter + 1):
+        outcome = purify(state, c.state, sub.noise)
+        if not outcome.purifiable:
+            return FixedPointResult(value, iteration, False, tol)
+        state = outcome.state
+        new_value = fidelity(state)
+        small_steps = small_steps + 1 if abs(new_value - value) <= tol else 0
+        value = new_value
+        if small_steps >= 2:
+            return FixedPointResult(value, iteration, True, tol)
+    return FixedPointResult(value, max_iter, False, tol)
+
+
+def reference_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVELS):
+    """The from-scratch definition of F_inf: one full rebuild per depth."""
+    previous = None
+    span = 1
+    for level in range(1, max_levels + 1):
+        span = 2 * span + 1
+        fp = reference_fixed_point(config, span)
+        if fp.value < USEFUL_FIDELITY_FLOOR:
+            return FixedPointResult(fp.value, level, False, tol)
+        if previous is not None and abs(fp.value - previous) <= tol:
+            return FixedPointResult(fp.value, level, True, tol)
+        previous = fp.value
+    return FixedPointResult(previous, max_levels, False, tol)
+
+
+def outcome(fn, *args):
+    """Result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ProtocolError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def unpurifiable_config(m, span=7):
+    """Perfect operations on pure Psi+ links: some pump step meets an
+    orthogonal parity class and never accepts."""
+    link = LinkParams(l0_km=20.0, attenuation_db_per_km=0.0, p_em=0.1, eps_local=1.0)
+    return ProtocolConfig(
+        link=link, noise=NoiseParams(1.0, 1.0, 0.0), m=m, target_span=span, f0=0.0
+    )
+
+
+LADDER_CASES = {
+    "per_level_m_with_zeros": make_config(f0=0.98, m=(2, 0, 1, 0), span=31),
+    "pinned_f0": make_config(f0=0.97, m=2),
+    "asymptote_below_half": make_config(f0=0.96),
+    "link_derived_f0": make_config(p=0.99, eta=0.99, upsilon=0.1),
+}
+
+
+class TestLadderMatchesFromScratchDefinition:
+    """The ladder walk must give exactly what rebuilding every span from
+    scratch gives."""
+
+    @pytest.mark.parametrize("name", sorted(LADDER_CASES))
+    def test_fixed_points(self, name):
+        cfg = LADDER_CASES[name]
+        for span in (1, 3, 7, 15, 31, 63, 127):
+            assert fixed_point_at_distance(cfg, span) == reference_fixed_point(cfg, span)
+
+    @pytest.mark.parametrize("name", sorted(LADDER_CASES))
+    def test_asymptote(self, name):
+        cfg = LADDER_CASES[name]
+        assert asymptotic_fidelity(cfg) == reference_asymptote(cfg)
+        assert asymptotic_fidelity(cfg, 1e-3, 3) == reference_asymptote(cfg, 1e-3, 3)
+
+    def test_asymptote_below_half_is_not_converged(self):
+        asym = asymptotic_fidelity(LADDER_CASES["asymptote_below_half"])
+        assert asym.value < USEFUL_FIDELITY_FLOOR and not asym.converged
+
+    @pytest.mark.parametrize("m", [3, (1, 3)])
+    def test_unpurifiable_raises_the_same_error(self, m):
+        cfg = unpurifiable_config(m)
+        with pytest.raises(ProtocolError, match="unpurifiable pump step"):
+            fixed_point_at_distance(cfg, 7)
+        for span in (3, 7, 15):
+            assert outcome(fixed_point_at_distance, cfg, span) == outcome(
+                reference_fixed_point, cfg, span
+            )
+        assert outcome(asymptotic_fidelity, cfg) == outcome(reference_asymptote, cfg)
+        # No level beyond max_levels is built, so none can raise.
+        assert asymptotic_fidelity(cfg, ASYMPTOTE_TOL, 0) == reference_asymptote(
+            cfg, ASYMPTOTE_TOL, 0
+        )
+
+    def test_tuple_m_sweep_never_shares_across_stretched_m(self):
+        # m = (2, 0) stretches to (2,) at span 3 but (2, 0) at span 7: the
+        # two asymptotes differ and must not be merged.
+        base = make_config(f0=0.98, m=(2, 0), span=7)
+        table = sweep(base, {"target_span": [3, 7, 15], "f0": [0.97, 0.98]})
+        for row in table.rows:
+            cfg = apply_overrides(base, target_span=row["target_span"], f0=row["f0"])
+            assert row["error"] == ""
+            assert row["f_fp"] == reference_fixed_point(cfg, cfg.target_span).value
+            assert row["f_inf"] == reference_asymptote(cfg).value
+        f_inf = {row["target_span"]: row["f_inf"] for row in table.rows if row["f0"] == 0.98}
+        assert f_inf[3] != f_inf[7]
+
+    def test_sweep_repeats_a_failed_asymptote(self):
+        # At span 1 the protocol and its fixed point need no pumping, but
+        # the asymptote's first level is unpurifiable.
+        table = sweep(unpurifiable_config(3, span=1), {"target_span": [1, 1]})
+        expected = outcome(reference_asymptote, unpurifiable_config(3, span=1))
+        assert expected[0] == "ProtocolError"
+        for row in table.rows:
+            assert row["error"] == expected[1]
+            assert row["f_inf"] is None
+
+
+def test_finite_pumping_can_exceed_the_fixed_point():
+    # F_FP is the limit of unbounded pumping, not an upper bound: at
+    # p = eta = 0.97 and span 7 the third pump round sits above it.
+    cfg = load_config(None, {"p": 0.97, "eta": 0.97, "target_span": 7}).protocol_config()
+    result = run_protocol(cfg)
+    fp = fixed_point_at_distance(cfg, 7)
+    a3 = result.per_level[0]
+    b = build_b_pair(a3, a3, cfg)
+    c = build_c_pair(cfg, 3, {3: a3})
+    values = [fidelity(b.state)]
+    state = b.state
+    for _ in range(fp.iterations):
+        state = purify(state, c.state, cfg.noise).state
+        values.append(fidelity(state))
+    assert values[0] == pytest.approx(0.69845, abs=5e-6)
+    assert values[3] == fidelity(result.final.state)
+    assert values[3] == pytest.approx(0.69411, abs=5e-6)
+    assert all(x >= y for x, y in zip(values[3:], values[4:]))
+    assert fp.converged and values[-1] == fp.value
+    assert fp.value == pytest.approx(0.69113, abs=5e-6)
+    assert fidelity(result.final.state) > fp.value

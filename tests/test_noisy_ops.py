@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qrepeater.bell import (
     BELL_VECTORS,
@@ -270,3 +271,41 @@ class TestUnpurifiable:
         out = purify(a, b, NoiseParams(1.0, 1.0))
         assert not out.purifiable
         assert out.state is None
+
+
+def bell_states():
+    return st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4
+    ).filter(lambda w: sum(w) > 1e-6).map(BellDiagonalState.from_weights)
+
+
+reliabilities = st.floats(min_value=1e-3, max_value=1.0)
+
+
+def assert_normalised(state):
+    w = state.weights
+    assert np.all(w >= 0.0) and np.all(w <= 1.0)
+    assert abs(w.sum() - 1.0) <= TOL
+
+
+class TestKernelProperties:
+    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    def test_purify_normalised_with_probability_in_unit_interval(self, a, b, p, eta):
+        out = purify(a, b, NoiseParams(p, eta))
+        assert 0.0 <= out.success_prob <= 1.0
+        if out.purifiable:
+            assert_normalised(out.state)
+
+    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    def test_swap_normalised(self, a, b, p, eta):
+        assert_normalised(swap(a, b, NoiseParams(p, eta)))
+
+    @given(length=st.integers(min_value=1, max_value=8))
+    def test_identity_on_singlets_with_perfect_operations(self, length):
+        singlet = BellDiagonalState(1.0, 0.0, 0.0, 0.0)
+        perfect = NoiseParams(1.0, 1.0)
+        out = purify(singlet, singlet, perfect)
+        assert out.success_prob == 1.0
+        assert out.state == singlet
+        assert swap(singlet, singlet, perfect) == singlet
+        assert connect_chain([singlet] * length, perfect) == singlet

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qrepeater.timing import (
     Duration,
@@ -87,3 +88,23 @@ class TestRestartingRounds:
     def test_rejects_zero_probability(self):
         with pytest.raises(ValueError):
             restarting_rounds(Duration(1.0), Duration(1.0), 0.0, [0.0])
+
+
+    @given(
+        base=st.floats(min_value=0.0, max_value=100.0),
+        base_var=st.floats(min_value=0.0, max_value=10.0),
+        round_mean=st.floats(min_value=0.0, max_value=10.0),
+        overhead=st.floats(min_value=0.0, max_value=1.0),
+        probs=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_mean_nonincreasing_in_each_acceptance(
+        self, base, base_var, round_mean, overhead, probs, data
+    ):
+        k = data.draw(st.integers(min_value=0, max_value=len(probs) - 1))
+        higher = data.draw(st.floats(min_value=probs[k], max_value=1.0))
+        raised = probs[:k] + [higher] + probs[k + 1:]
+        base_d, round_d = Duration(base, base_var), Duration(round_mean, 0.5)
+        before = restarting_rounds(base_d, round_d, overhead, probs).mean
+        after = restarting_rounds(base_d, round_d, overhead, raised).mean
+        assert after <= before * (1 + 1e-12) + 1e-12
