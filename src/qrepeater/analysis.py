@@ -11,10 +11,11 @@ computed here by direct iteration of the same maps the protocol uses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .bell import fidelity
+from .channel import LinkParams
 from .ops import NoiseParams, purify
 from .protocol import (
     Level,
@@ -24,7 +25,6 @@ from .protocol import (
     default_schedule,
     elementary_pair,
     ladder,
-    run_protocol,
 )
 
 FIXED_POINT_TOL = 1e-9
@@ -136,42 +136,31 @@ def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedP
     ]
 
 
-_LINK_FIELDS = frozenset(
-    ("l0_km", "attenuation_db_per_km", "p_em", "eps_local", "t0_s", "tc_s")
-)
-_NOISE_FIELDS = frozenset(("p", "eta", "upsilon"))
-_CONFIG_FIELDS = frozenset(("m", "target_span", "f0"))
-
-
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
-    """New ProtocolConfig with the named physical parameters replaced;
-    the schedule is rebuilt when the target span changes.  The virtual
-    field ``p_eta`` sets the gate and measurement reliabilities jointly."""
+    """New ProtocolConfig with the named physical parameters replaced; a
+    per-level m is stretched or cut to the new target span's depth.  The
+    virtual field ``p_eta`` sets the gate and measurement reliabilities
+    jointly."""
     if "p_eta" in overrides:
         value = overrides.pop("p_eta")
         overrides.setdefault("p", value)
         overrides.setdefault("eta", value)
-    link_kw = {k: v for k, v in overrides.items() if k in _LINK_FIELDS}
-    noise_kw = {k: v for k, v in overrides.items() if k in _NOISE_FIELDS}
-    cfg_kw = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
-    unknown = set(overrides) - _LINK_FIELDS - _NOISE_FIELDS - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    link = replace(config.link, **link_kw) if link_kw else config.link
-    noise = replace(config.noise, **noise_kw) if noise_kw else config.noise
-    target = cfg_kw.get("target_span", config.target_span)
-    schedule = default_schedule(target)
-    m = cfg_kw.get("m", config.m)
+    link_kw = {
+        f.name: overrides.pop(f.name) for f in fields(LinkParams) if f.name in overrides
+    }
+    noise_kw = {
+        f.name: overrides.pop(f.name) for f in fields(NoiseParams) if f.name in overrides
+    }
+    target = overrides.pop("target_span", config.target_span)
+    m = overrides.pop("m", config.m)
+    f0 = overrides.pop("f0", config.f0)
+    if overrides:
+        raise ValueError(f"unknown config fields: {sorted(overrides)}")
+    link = replace(config.link, **link_kw)
+    noise = replace(config.noise, **noise_kw)
     if not isinstance(m, int):
-        m = tuple(m[i] if i < len(m) else m[-1] for i in range(len(schedule)))
-    return ProtocolConfig(
-        link=link,
-        noise=noise,
-        m=m,
-        target_span=target,
-        schedule=schedule,
-        f0=cfg_kw.get("f0", config.f0),
-    )
+        m = tuple(m[min(i, len(m) - 1)] for i in range(len(default_schedule(target))))
+    return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 
 
 def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTable:
@@ -191,8 +180,11 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
         row = dict(coords)
         try:
             cfg = apply_overrides(base_config, **coords)
-            result = run_protocol(cfg)
-            fp = fixed_point_at_distance(cfg, cfg.target_span)
+            levels = list(itertools.islice(ladder(cfg), len(cfg.schedule)))
+            if levels:
+                final, fp = levels[-1].a, _pumped_fixed_point(levels[-1], cfg.noise)
+            else:
+                final, fp = elementary_pair(cfg), fixed_point_at_distance(cfg, 1)
             key = (cfg.link, cfg.noise, cfg.m, cfg.f0)
             if key not in asymptotes:
                 try:
@@ -203,10 +195,10 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
             if isinstance(asym, Exception):
                 raise asym
             row.update(
-                fidelity=fidelity(result.final.state),
+                fidelity=fidelity(final.state),
                 f_fp=fp.value,
                 f_inf=asym.value,
-                expected_time_s=result.total_expected_time,
+                expected_time_s=final.expected_time,
                 error="",
             )
         except (ValueError, ProtocolError) as exc:

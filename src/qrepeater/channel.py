@@ -11,7 +11,7 @@ independent check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,10 @@ class LinkParams:
     tc_s: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not self.l0_km > 0:
             raise ValueError(f"l0_km must be > 0, got {self.l0_km!r}")
         if self.attenuation_db_per_km < 0:

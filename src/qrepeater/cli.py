@@ -31,28 +31,18 @@ from .channel import (
     initial_fidelity,
     photon_mode_oracle,
 )
-from .config import RunConfig, format_resolved, load_config, parse_config_file
+from .config import FIELD_TYPES, RunConfig, format_resolved, load_config, parse_config_file
 from .protocol import ProtocolError, round_span_up, run_protocol
 
 #: Singlet fidelity above which a Werner-type pair violates the CHSH
 #: inequality: (1 + 3/sqrt(2))/4 rounded to the conventional 0.78.
 BELL_VIOLATION_FIDELITY = 0.78
 
-_AXIS_FIELD_TYPES = {
-    "l0_km": float,
-    "attenuation_db_per_km": float,
-    "p_em": float,
-    "eps_local": float,
-    "t0_s": float,
-    "tc_s": float,
-    "p": float,
-    "eta": float,
-    "p_eta": float,
-    "upsilon": float,
-    "m": int,
-    "target_span": int,
-    "f0": float,
-}
+#: The physical parameters: every run parameter but the seed and the trial
+#: count.  Each has its own flag and, with ``p_eta`` (p and eta set
+#: together), is a sweep axis.
+_PHYSICAL_TYPES = {k: t for k, t in FIELD_TYPES.items() if k not in ("seed", "trials")}
+_AXIS_TYPES = {**_PHYSICAL_TYPES, "p_eta": float}
 
 
 def _fmt(value) -> str:
@@ -155,6 +145,8 @@ def cmd_sweep(config: RunConfig, axes: dict) -> str:
 def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     """The long-haul scenario: span rounded up to the nearest schedulable
     size, final fidelity, expected time and the CHSH-violation verdict."""
+    if not 0.0 < distance_km < math.inf:
+        raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
     span = round_span_up(math.ceil(distance_km / config.l0_km))
     pcfg = apply_overrides(config.protocol_config(), target_span=span)
     link = config.link_params()
@@ -200,9 +192,11 @@ def _parse_axes(specs: list[str] | None) -> dict:
             raise ValueError(f"--axis expects NAME=V1,V2,..., got {spec!r}")
         name, _, values = spec.partition("=")
         name = name.strip()
-        if name not in _AXIS_FIELD_TYPES:
+        if name not in _AXIS_TYPES:
             raise ValueError(f"unknown axis {name!r}")
-        caster = _AXIS_FIELD_TYPES[name]
+        if name in axes:
+            raise ValueError(f"duplicate axis {name!r}")
+        caster = _AXIS_TYPES[name]
         try:
             axes[name] = [caster(v.strip()) for v in values.split(",") if v.strip()]
         except ValueError as exc:
@@ -220,39 +214,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--print-config", action="store_true", help="echo the resolved config and exit"
     )
-    for key, caster in (
-        ("l0-km", float),
-        ("attenuation-db-per-km", float),
-        ("p-em", float),
-        ("eps-local", float),
-        ("t0-s", float),
-        ("tc-s", float),
-        ("p", float),
-        ("eta", float),
-        ("upsilon", float),
-        ("m", int),
-        ("target-span", int),
-        ("f0", float),
-    ):
-        parser.add_argument(f"--{key}", type=caster, dest=key.replace("-", "_"))
-
-
-_CONFIG_KEYS = (
-    "l0_km",
-    "attenuation_db_per_km",
-    "p_em",
-    "eps_local",
-    "t0_s",
-    "tc_s",
-    "p",
-    "eta",
-    "upsilon",
-    "m",
-    "target_span",
-    "f0",
-    "seed",
-    "trials",
-)
+    for key, caster in _PHYSICAL_TYPES.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=caster, dest=key)
 
 
 def _resolve(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
@@ -260,7 +223,7 @@ def _resolve(args: argparse.Namespace, defaults: dict | None = None) -> RunConfi
     merged = dict(defaults or {})
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .channel import LinkParams
 from .ops import NoiseParams
-from .protocol import ProtocolConfig, default_schedule
+from .protocol import ProtocolConfig
 
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 10_000
@@ -61,43 +62,18 @@ class RunConfig:
             noise=self.noise_params(),
             m=self.m,
             target_span=self.target_span,
-            schedule=default_schedule(self.target_span),
             f0=self.f0,
         )
-
-    def validate(self) -> "RunConfig":
-        """Run the underlying parameter validations so errors name the
-        offending field; returns self for chaining."""
-        self.link_params()
-        self.noise_params()
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m!r}")
-        default_schedule(self.target_span)
-        if self.f0 is not None and not 0.0 <= self.f0 <= 1.0:
-            raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        return self
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_TYPES = {
-    "l0_km": float,
-    "attenuation_db_per_km": float,
-    "p_em": float,
-    "eps_local": float,
-    "t0_s": float,
-    "tc_s": float,
-    "p": float,
-    "eta": float,
-    "upsilon": float,
-    "m": int,
-    "target_span": int,
-    "f0": float,
-    "seed": int,
-    "trials": int,
+#: Every run parameter and its scalar type (``X | None`` reads as X), in
+#: field order: the config-file keys and the CLI's per-key flags.
+FIELD_TYPES = {
+    name: (get_args(hint) or (hint,))[0]
+    for name, hint in get_type_hints(RunConfig).items()
 }
 
 
@@ -120,11 +96,11 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].split(";", 1)[0].strip()
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-        caster = _FIELD_TYPES[key]
+        caster = FIELD_TYPES[key]
         try:
             values[key] = caster(value)
         except ValueError as exc:
@@ -139,12 +115,15 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     overrides (flags win over file values), then validate."""
     values = parse_config_file(path) if path is not None else {}
     if overrides:
-        unknown = set(overrides) - set(_FIELD_TYPES)
+        unknown = set(overrides) - set(FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         values.update({k: v for k, v in overrides.items() if v is not None})
     config = replace(RunConfig(), **values)
-    return config.validate()
+    config.protocol_config()  # runs the link, noise and protocol checks
+    if config.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {config.trials!r}")
+    return config
 
 
 def format_resolved(config: RunConfig) -> str:

@@ -112,10 +112,12 @@ def _pair_product(a: BellDiagonalState, b: BellDiagonalState) -> np.ndarray:
     return np.kron(to_density(a).matrix, to_density(b).matrix)
 
 
-def purify_oracle(
+def _purify_kept(
     a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams
-) -> PurifyOutcome:
-    """Exact 16x16 evaluation of one purification round.
+) -> tuple[np.ndarray | None, float]:
+    """Exact 16x16 evaluation of one purification round: the corrected
+    4x4 matrix of the kept pair (None below ``MIN_SUCCESS_PROB``) and the
+    acceptance probability.
 
     Qubit layout: (0, 1) hold the kept pair ``a`` at nodes A, B and
     (2, 3) the consumed pair ``b``; node A owns qubits (0, 2), node B
@@ -137,11 +139,20 @@ def purify_oracle(
         accepted += weight * (proj @ rho @ proj)
     success = min(float(np.trace(accepted).real), 1.0)
     if success < MIN_SUCCESS_PROB:
-        return PurifyOutcome(state=None, success_prob=success)
+        return None, success
     kept = partial_trace(accepted, (0, 1), n) / success
     corr = np.kron(I2, PAULI_Y)  # frame correction returning the target to Psi-
-    kept = corr @ kept @ corr.conj().T
-    return PurifyOutcome(state=bell_project(kept), success_prob=success)
+    return corr @ kept @ corr.conj().T, success
+
+
+def purify_oracle(
+    a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams
+) -> PurifyOutcome:
+    """Exact 16x16 evaluation of one purification round, projected onto
+    the Bell basis."""
+    kept, success = _purify_kept(a, b, noise)
+    state = None if kept is None else bell_project(kept)
+    return PurifyOutcome(state=state, success_prob=success)
 
 
 def purify_oracle_matrix(
@@ -149,22 +160,9 @@ def purify_oracle_matrix(
 ) -> tuple[DensityMatrix, float]:
     """Like :func:`purify_oracle` but returning the full corrected 4x4
     matrix of the kept pair, for Bell-diagonality checks."""
-    n = 4
-    rho = _pair_product(a, b)
-    rot = kron_all(ROT_MINUS, ROT_PLUS, ROT_MINUS, ROT_PLUS)
-    rho = rot @ rho @ rot.conj().T
-    rho = noisy_gate(rho, cnot(0, 2, n), (0, 2), noise.p, n)
-    rho = noisy_gate(rho, cnot(1, 3, n), (1, 3), noise.p, n)
-    eta = noise.eta
-    accepted = np.zeros_like(rho)
-    for m2, m3 in itertools.product((0, 1), repeat=2):
-        weight = eta**2 + (1.0 - eta) ** 2 if m2 == m3 else 2.0 * eta * (1.0 - eta)
-        proj = embed({2: _P0 if m2 == 0 else _P1, 3: _P0 if m3 == 0 else _P1}, n)
-        accepted += weight * (proj @ rho @ proj)
-    success = min(float(np.trace(accepted).real), 1.0)
-    kept = partial_trace(accepted, (0, 1), n) / success
-    corr = np.kron(I2, PAULI_Y)
-    kept = corr @ kept @ corr.conj().T
+    kept, success = _purify_kept(a, b, noise)
+    if kept is None:
+        raise ValueError(f"purification never accepts (probability {success:.3e})")
     return DensityMatrix(kept), success
 
 

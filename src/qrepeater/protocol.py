@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -76,7 +76,8 @@ def round_span_up(span: int) -> int:
 class ProtocolConfig:
     """Everything a protocol run needs: the physical link, the local
     noise, the pumping depth m (one int, or one per nesting level) and
-    the nesting schedule.
+    the target span.  The nesting schedule (level input spans 1, 3, 7,
+    ...) is derived from ``target_span`` and cannot be passed.
 
     ``f0`` optionally pins the elementary-pair fidelity directly instead
     of deriving it from the link parameters; the time model always uses
@@ -87,30 +88,11 @@ class ProtocolConfig:
     noise: NoiseParams
     m: int | tuple[int, ...] = 3
     target_span: int = 15
-    schedule: tuple[int, ...] | None = None
+    schedule: tuple[int, ...] = field(init=False)
     f0: float | None = None
 
     def __post_init__(self):
-        if self.schedule is None:
-            object.__setattr__(self, "schedule", default_schedule(self.target_span))
-        else:
-            sched = tuple(self.schedule)
-            object.__setattr__(self, "schedule", sched)
-            if self.target_span == 1:
-                if sched:
-                    raise ValueError("target_span 1 admits only an empty schedule")
-            else:
-                if not sched or sched[0] != 1:
-                    raise ValueError(f"schedule must start at span 1, got {sched!r}")
-                for a, b in zip(sched, sched[1:]):
-                    if b != 2 * a + 1:
-                        raise ValueError(
-                            f"schedule must follow the 2n+1 recursion, got {sched!r}"
-                        )
-                if 2 * sched[-1] + 1 != self.target_span:
-                    raise ValueError(
-                        f"schedule {sched!r} does not compose to target_span {self.target_span}"
-                    )
+        object.__setattr__(self, "schedule", default_schedule(self.target_span))
         if isinstance(self.m, int):
             if self.m < 0:
                 raise ValueError(f"m must be >= 0, got {self.m!r}")

@@ -219,7 +219,7 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
         )
     sub = ProtocolConfig(
         link=config.link, noise=config.noise, m=m, target_span=span,
-        schedule=schedule, f0=config.f0,
+        f0=config.f0,
     )
     built = {1: elementary_pair(sub)}
     for record in run_protocol(sub).per_level:

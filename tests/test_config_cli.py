@@ -1,14 +1,19 @@
 """Configuration loading, flag precedence and the CSV-emitting commands."""
 
 import math
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from qrepeater.channel import initial_fidelity
+from qrepeater.analysis import apply_overrides
+from qrepeater.channel import LinkParams, initial_fidelity
 from qrepeater.cli import (
     BELL_VIOLATION_FIDELITY,
+    _parse_axes,
     cmd_fixed_point,
     cmd_headline,
     cmd_link,
@@ -80,6 +85,12 @@ class TestLoadConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             load_config(None, {"coherence_time": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(LinkParams)])
+    def test_non_finite_link_value_names_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            load_config(None, {name: value})
 
 
 class TestCmdLink:
@@ -228,6 +239,20 @@ class TestMainEntry:
         assert code == 2
         assert "p_em" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--t0-s", "--tc-s", "--attenuation-db-per-km"])
+    def test_nan_link_flag_exit_code(self, flag, capsys):
+        assert main(["simulate", f"{flag}=nan"]) == 2
+        assert flag[2:].replace("-", "_") + " must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distance", ["inf", "nan", "-5", "0"])
+    def test_headline_rejects_bad_distance(self, distance, capsys):
+        assert main(["headline", f"--distance-km={distance}"]) == 2
+        assert "distance_km must be finite and > 0" in capsys.readouterr().err
+
+    def test_repeated_axis_rejected(self, capsys):
+        assert main(["sweep", "--axis", "m=1", "--axis", "m=2"]) == 2
+        assert "duplicate axis 'm'" in capsys.readouterr().err
+
     def test_headline_defaults(self, capsys):
         code = main(["headline", "--print-config"])
         out = capsys.readouterr().out
@@ -256,3 +281,71 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert "efficiency" in proc.stdout
+
+
+#: One valid, non-default value per run parameter.
+SAMPLE_VALUES = {
+    "l0_km": 10.0,
+    "attenuation_db_per_km": 0.25,
+    "p_em": 0.08,
+    "eps_local": 0.5,
+    "t0_s": 2e-06,
+    "tc_s": 7e-05,
+    "p": 0.99,
+    "eta": 0.98,
+    "upsilon": 0.1,
+    "m": 2,
+    "target_span": 7,
+    "f0": 0.97,
+    "seed": 7,
+    "trials": 500,
+}
+
+
+def protocol_value(cfg, name):
+    """A run parameter's value in a ProtocolConfig, wherever it lives."""
+    owner = next(part for part in (cfg.link, cfg.noise, cfg) if hasattr(part, name))
+    return getattr(owner, name)
+
+
+class TestParameterRegistry:
+    """Every RunConfig field is a config key, a flag and (except seed and
+    trials) a sweep axis, with no list to keep in step by hand."""
+
+    def test_every_field_is_a_key_a_flag_and_an_axis(self, tmp_path, capsys):
+        names = [f.name for f in fields(RunConfig)]
+        assert sorted(names) == sorted(SAMPLE_VALUES)
+        base = RunConfig().protocol_config()
+        for name in names:
+            value = SAMPLE_VALUES[name]
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"{name} = {value}\n")
+            parsed = parse_config_file(path)[name]
+            assert parsed == value and type(parsed) is type(value), name
+
+            flag = "--" + name.replace("_", "-")
+            assert main(["link", "--print-config", flag, str(value)]) == 0
+            assert f"{name} = {value!r}" in capsys.readouterr().out.splitlines()
+
+            if name in ("seed", "trials"):
+                with pytest.raises(ValueError, match="unknown axis"):
+                    _parse_axes([f"{name}={value}"])
+                with pytest.raises(ValueError, match="unknown config fields"):
+                    apply_overrides(base, **{name: value})
+                continue
+            assert _parse_axes([f"{name}={value}"]) == {name: [value]}
+            assert protocol_value(apply_overrides(base, **{name: value}), name) == value
+
+    def test_p_eta_sets_both_reliabilities(self):
+        assert _parse_axes(["p_eta=0.97,0.99"]) == {"p_eta": [0.97, 0.99]}
+        noise = apply_overrides(RunConfig().protocol_config(), p_eta=0.97).noise
+        assert noise.p == noise.eta == 0.97
+
+    def test_readme_ini_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        values = parse_config_file(path)
+        assert values["l0_km"] == 20.0 and values["target_span"] == 15
+        assert load_config(path) == RunConfig(tc_s=70e-6)

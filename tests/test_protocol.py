@@ -71,15 +71,13 @@ class TestSchedule:
         assert round_span_up(50) == 63
         assert round_span_up(63) == 63
 
-    def test_config_validates_schedule_composition(self):
-        link = LinkParams()
-        with pytest.raises(ValueError, match="compose"):
+    def test_schedule_is_derived_from_target_span(self):
+        for span in (1, 3, 15, 1023):
+            cfg = ProtocolConfig(link=LinkParams(), noise=NoiseParams(), target_span=span)
+            assert cfg.schedule == default_schedule(span)
+        with pytest.raises(TypeError, match="schedule"):
             ProtocolConfig(
-                link=link, noise=NoiseParams(), m=1, target_span=15, schedule=(1, 3)
-            )
-        with pytest.raises(ValueError, match="2n\\+1"):
-            ProtocolConfig(
-                link=link, noise=NoiseParams(), m=1, target_span=15, schedule=(1, 4, 7)
+                link=LinkParams(), noise=NoiseParams(), target_span=15, schedule=(1, 3, 7)
             )
 
     def test_per_level_m(self):
