@@ -110,9 +110,11 @@ class ProtocolConfig:
 
     def m_at_level(self, level: int) -> int:
         """Pumping depth at a nesting level; levels beyond a per-level
-        tuple reuse its last entry."""
+        tuple reuse its last entry; an empty tuple has none to reuse."""
         if isinstance(self.m, int):
             return self.m
+        if not self.m:
+            raise ValueError(f"per-level m is empty, so level {level} has no pumping depth")
         return self.m[min(level, len(self.m) - 1)]
 
 
@@ -211,97 +213,64 @@ def build_b_pair(
     return PairRecord("B", 2 * n + 1, state, dur.mean, 1.0, dur.var)
 
 
-def _span_pair(
-    config: ProtocolConfig, span: int, built: dict[int, PairRecord] | None
-) -> PairRecord:
-    """Species-A pair over an arbitrary span, composed from already built
-    level outputs, halves joined by a swap, or elementary links."""
-    if span == 1:
-        return elementary_pair(config)
-    if built and span in built:
-        return built[span]
-    if span % 2:
-        half = _span_pair(config, (span - 1) // 2, built)
-        b = build_b_pair(half, half, config)
-        return PairRecord("A", span, b.state, b.expected_time, 1.0, b.time_var)
-    prob, unit = _link_prob_and_unit(config)
-    half = _span_pair(config, span // 2, built)
+def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, float]:
+    """Purified pair over the even helper span 2h used inside C pairs,
+    from the span-h A pair ``half``.
+
+    Two copies of ``half`` are swapped together, then the result is
+    refined by a single purification round whose fodder is one more copy
+    of the same swap (built on the communication qubits after the stored
+    swap frees the interior).  One round suffices because the halves are
+    already purified; quality then tracks the level below instead of
+    compounding swap losses.  The round always accepts with probability
+    at least 1/2: for two copies of one Bell-diagonal state the weight on
+    agreeing parities is (w0+w2)^2 + (w1+w3)^2 >= 1/2, and a faithful
+    report is at least as likely as a false one.
+
+    Returns the helper record and the refining round's acceptance
+    probability.
+    """
     state = swap(half.state, half.state, config.noise)
-    if span == 2:
+    if half.span == 1:
+        prob, unit = _link_prob_and_unit(config)
         group = max_of_geometric(2, prob, unit)
     else:
         group = max_all([half.duration, half.duration])
-    dur = group.shifted(config.link.tc_s)
-    return PairRecord("A", span, state, dur.mean, 1.0, dur.var)
-
-
-def _helper_pair(
-    config: ProtocolConfig, span: int, built: dict[int, PairRecord] | None
-) -> tuple[PairRecord, float | None]:
-    """Purified pair over the even helper span n-1 used inside C pairs.
-
-    Two half-span pairs are swapped together, then the result is refined
-    by a single purification round whose fodder is one more copy of the
-    same swap (built on the communication qubits after the stored swap
-    frees the interior).  One round suffices because the halves are
-    already purified; quality then tracks the level below instead of
-    compounding swap losses.
-
-    Returns the helper record and the refining round's acceptance
-    probability (None when the refinement is skipped).
-    """
-    swapped = _span_pair(config, span, built)
-    if span % 2:
-        return swapped, None
-    outcome = purify(swapped.state, swapped.state, config.noise)
-    if not outcome.purifiable:
-        return swapped, None
-    base = swapped.duration
+    base = group.shifted(config.link.tc_s)
+    outcome = purify(state, state, config.noise)
     dur = restarting_rounds(base, base, config.link.tc_s, [outcome.success_prob])
-    record = PairRecord("A", span, outcome.state, dur.mean, 1.0, dur.var)
+    record = PairRecord("A", 2 * half.span, outcome.state, dur.mean, 1.0, dur.var)
     return record, outcome.success_prob
 
 
-def _c_pair(
-    config: ProtocolConfig, n: int, built: dict[int, PairRecord] | None
-) -> tuple[PairRecord, float | None]:
-    """:func:`build_c_pair` plus the helper refinement's acceptance
-    probability (None for n = 1 or an unrefined helper)."""
-    if n < 1:
-        raise ValueError(f"build_c_pair needs n >= 1, got {n!r}")
+def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord:
+    """Fresh pair for one pumping round: three elementary links
+    bracketing two copies of the purified ``inner`` pair, all swapped
+    together into a span 2 * inner.span + 3 pair.  ``inner`` None is the
+    lowest level, where the chain is three elementary links (span 3).
+
+    ``inner`` is the refined helper pair of :func:`_helper_pair`; its two
+    copies occupy disjoint segments and race concurrently with the three
+    links.
+    """
     prob, unit = _link_prob_and_unit(config)
     elem = _elementary_state(config)
-    if n == 1:
-        state = connect_chain([elem, elem, elem], config.noise)
-        dur = max_of_geometric(3, prob, unit).shifted(config.link.tc_s)
-        helper_q = None
+    links = max_of_geometric(3, prob, unit)
+    if inner is None:
+        span, state, group = 3, connect_chain([elem, elem, elem], config.noise), links
     else:
-        sub, helper_q = _helper_pair(config, n - 1, built)
-        state = connect_chain([elem, sub.state, elem, sub.state, elem], config.noise)
-        links = max_of_geometric(3, prob, unit)
-        group = max_all([sub.duration, sub.duration, links])
-        dur = group.shifted(config.link.tc_s)
-    return PairRecord("C", 2 * n + 1, state, dur.mean, 1.0, dur.var), helper_q
-
-
-def build_c_pair(
-    config: ProtocolConfig, n: int, built: dict[int, PairRecord] | None = None
-) -> PairRecord:
-    """Fresh span 2n+1 pair for one pumping round: three elementary links
-    bracketing two purified span n-1 pairs, all swapped together.  For
-    n = 1 the inner pairs degenerate and the chain is three elementary
-    links.
-
-    The inner pairs are the refined helper pairs of :func:`_helper_pair`;
-    the two of them occupy disjoint segments and race concurrently with
-    the three links.
-    """
-    return _c_pair(config, n, built)[0]
+        if inner.species != "A":
+            raise ValueError("build_c_pair needs an A pair")
+        span = 2 * inner.span + 3
+        state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
+        group = max_all([inner.duration, inner.duration, links])
+    dur = group.shifted(config.link.tc_s)
+    return PairRecord("C", span, state, dur.mean, 1.0, dur.var)
 
 
 def _pump(
     b: PairRecord,
-    c_supplier: Iterator[PairRecord],
+    c: PairRecord,
     m: int,
     config: ProtocolConfig,
     level: int | None,
@@ -310,17 +279,15 @@ def _pump(
     where = f" at level {level}" if level is not None else ""
     if b.species != "B":
         raise ValueError(f"pump needs a B pair, got species {b.species!r}")
+    if c.span != b.span:
+        raise ValueError(
+            f"pump span mismatch{where}: B spans {b.span}, C spans {c.span}"
+        )
     if m == 0:
         return PairRecord("A", b.span, b.state, b.expected_time, 1.0, b.time_var), ()
     state = b.state
     probs: list[float] = []
-    c_duration = None
     for step in range(m):
-        c = next(c_supplier)
-        if c.span != b.span:
-            raise ValueError(
-                f"pump span mismatch{where}: B spans {b.span}, C spans {c.span}"
-            )
         outcome = purify(state, c.state, config.noise)
         if not outcome.purifiable:
             raise ProtocolError(
@@ -329,24 +296,24 @@ def _pump(
             )
         state = outcome.state
         probs.append(outcome.success_prob)
-        c_duration = c.duration
-    dur = restarting_rounds(b.duration, c_duration, config.link.tc_s, probs)
+    dur = restarting_rounds(b.duration, c.duration, config.link.tc_s, probs)
     a = PairRecord("A", b.span, state, dur.mean, math.prod(probs), dur.var)
     return a, tuple(probs)
 
 
 def pump(
     b: PairRecord,
-    c_supplier: Iterator[PairRecord],
+    c: PairRecord,
     m: int,
     config: ProtocolConfig,
     level: int | None = None,
 ) -> PairRecord:
-    """Purify the stored B pair m consecutive times with pairs drawn from
-    ``c_supplier``; all rounds must accept, and any rejection restarts
-    the level from scratch (that enters the time, not the conditioned
-    state).  m = 0 relabels the B pair as A."""
-    return _pump(b, c_supplier, m, config, level)[0]
+    """Purify the stored B pair m consecutive times, each round with a
+    fresh copy of the same-span fodder pair ``c``; all rounds must
+    accept, and any rejection restarts the level from scratch (that
+    enters the time, not the conditioned state).  m = 0 relabels the B
+    pair as A."""
+    return _pump(b, c, m, config, level)[0]
 
 
 @dataclass(frozen=True)
@@ -367,18 +334,24 @@ class Level:
 
 def ladder(config: ProtocolConfig) -> Iterator[Level]:
     """Nesting levels over input spans 1, 3, 7, ..., built bottom-up one
-    at a time from the level below, without end; level i pumps
-    ``config.m_at_level(i)`` times.  An unpurifiable pump raises
-    :class:`ProtocolError` when its level is reached."""
-    built: dict[int, PairRecord] = {1: elementary_pair(config)}
-    n = 1
+    at a time from the two levels below, without end; level i pumps
+    ``config.m_at_level(i)`` times.  An unpurifiable pump, or a time
+    model that overflows, raises :class:`ProtocolError` when its level
+    is reached."""
+    below2, below = None, elementary_pair(config)
     for idx in itertools.count():
-        b = build_b_pair(built[n], built[n], config)
-        c, helper_q = _c_pair(config, n, built)
-        a, step_probs = _pump(b, itertools.repeat(c), config.m_at_level(idx), config, idx)
-        built[a.span] = a
-        yield Level(n, b, c, step_probs, helper_q, a)
-        n = a.span
+        try:
+            b = build_b_pair(below, below, config)
+            if below2 is None:
+                helper, helper_q = None, None
+            else:
+                helper, helper_q = _helper_pair(below2, config)
+            c = build_c_pair(helper, config)
+            a, step_probs = _pump(b, c, config.m_at_level(idx), config, idx)
+        except OverflowError as exc:
+            raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
+        yield Level(below.span, b, c, step_probs, helper_q, a)
+        below2, below = below, a
 
 
 def _build_levels(config: ProtocolConfig) -> list[Level]:
@@ -416,96 +389,70 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     Every elementary link draws a geometric attempt count, concurrent
     stages finish at the max of their children, each purification round
     accepts with its analytically computed probability, and a rejection
-    restarts the level.  Vectorised over trials with a single seeded
-    generator, so results are reproducible for a fixed seed.
+    restarts the level.  Level i samples its B pair from level i-1 and
+    its C helpers from level i-2, where level -1 is one elementary link.
+    Vectorised over trials with a single seeded generator, so results
+    are reproducible for a fixed seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     prob, unit = _link_prob_and_unit(config)
     tc = config.link.tc_s
     levels = _build_levels(config)
-    by_output_span = {2 * lv.input_span + 1: i for i, lv in enumerate(levels)}
     rng = np.random.default_rng(seed)
 
     def sample_links(count: int, racers: int) -> np.ndarray:
         draws = rng.geometric(prob, size=(count, racers))
         return draws.max(axis=1).astype(float) * unit
 
-    def sample_span(span: int, count: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(0)
-        if span == 1:
-            return sample_links(count, 1)
-        if span in by_output_span:
-            return sample_level(by_output_span[span], count)
-        if span % 2 == 0:
-            if span == 2:
-                return sample_links(count, 2) + tc
-            half = np.maximum(
-                sample_span(span // 2, count), sample_span(span // 2, count)
-            )
-            return half + tc
-        raise ProtocolError(f"no construction for span {span}")
-
-    def sample_b(level: int, count: int) -> np.ndarray:
-        n = levels[level].input_span
-        if n == 1:
-            return sample_links(count, 3) + tc
-        stage = np.maximum(sample_span(n, count), sample_span(n, count))
-        stage = np.maximum(stage, sample_links(count, 1))
-        return stage + tc
-
-    def sample_helper(level: int, count: int) -> np.ndarray:
-        half_span = (levels[level].input_span - 1) // 2
-
-        def sample_swapped(cnt: int) -> np.ndarray:
-            if half_span == 1:
-                return sample_links(cnt, 2) + tc
-            stage = np.maximum(
-                sample_span(half_span, cnt), sample_span(half_span, cnt)
-            )
-            return stage + tc
-
-        q = levels[level].helper_q
-        total = sample_swapped(count)
-        if q is None:
-            return total
-        total += sample_swapped(count) + tc
-        pending = np.flatnonzero(rng.random(count) >= q)
-        while pending.size:
-            retry = sample_swapped(pending.size) + sample_swapped(pending.size) + tc
-            total[pending] += retry
-            pending = pending[rng.random(pending.size) >= q]
-        return total
-
-    def sample_c(level: int, count: int) -> np.ndarray:
-        n = levels[level].input_span
-        if n == 1:
-            return sample_links(count, 3) + tc
-        stage = np.maximum(sample_helper(level, count), sample_helper(level, count))
-        stage = np.maximum(stage, sample_links(count, 3))
-        return stage + tc
-
-    def sample_level(level: int, count: int) -> np.ndarray:
-        step_probs = levels[level].step_probs
+    def restarting(sample_base, sample_round, level: int, probs, count: int) -> np.ndarray:
+        # The sampler's copy of timing.restarting_rounds: each attempt pays
+        # a base build, then one round plus tc per entry of probs, and a
+        # rejected round restarts the attempt.
         total = np.zeros(count)
         pending = np.arange(count)
         while pending.size:
-            n_pend = pending.size
-            attempt = sample_b(level, n_pend)
-            alive = np.ones(n_pend, dtype=bool)
-            for q in step_probs:
-                sub = np.flatnonzero(alive)
-                if sub.size == 0:
+            attempt = sample_base(level, pending.size)
+            live = np.arange(pending.size)
+            for q in probs:
+                attempt[live] += sample_round(level, live.size) + tc
+                live = live[rng.random(live.size) < q]
+                if not live.size:
                     break
-                attempt[sub] += sample_c(level, sub.size) + tc
-                accepted = rng.random(sub.size) < q
-                alive[sub[~accepted]] = False
             total[pending] += attempt
-            pending = pending[~alive] if step_probs else pending[:0]
+            failed = np.ones(pending.size, dtype=bool)
+            failed[live] = False
+            pending = pending[failed]
         return total
 
-    samples = sample_span(config.target_span, trials)
+    def sample_level(level: int, count: int) -> np.ndarray:
+        if level < 0:
+            return sample_links(count, 1)
+        return restarting(sample_b, sample_c, level, levels[level].step_probs, count)
+
+    def sample_swapped(level: int, count: int) -> np.ndarray:
+        # Two copies of level's output swapped together.
+        if level < 0:
+            return sample_links(count, 2) + tc
+        return np.maximum(sample_level(level, count), sample_level(level, count)) + tc
+
+    def sample_b(level: int, count: int) -> np.ndarray:
+        if level == 0:
+            return sample_links(count, 3) + tc
+        stage = np.maximum(sample_level(level - 1, count), sample_level(level - 1, count))
+        return np.maximum(stage, sample_links(count, 1)) + tc
+
+    def sample_c(level: int, count: int) -> np.ndarray:
+        if level == 0:
+            return sample_links(count, 3) + tc
+        helper_q = (levels[level].helper_q,)
+        stage = np.maximum(
+            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
+            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
+        )
+        return np.maximum(stage, sample_links(count, 3)) + tc
+
+    samples = sample_level(len(levels) - 1, trials)
     qs = (0.5, 0.9, 0.99)
     quantiles = {q: float(np.quantile(samples, q)) for q in qs}
     return TimeDistribution(

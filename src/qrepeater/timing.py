@@ -31,19 +31,6 @@ class Duration:
         return Duration(self.mean + offset, self.var)
 
 
-def seq(*durations: Duration) -> Duration:
-    """Sum of independent stages."""
-    return Duration(
-        sum(d.mean for d in durations), sum(d.var for d in durations)
-    )
-
-
-def geometric_attempts(p: float) -> tuple[float, float]:
-    """Mean and variance of a geometric attempt count with success
-    probability p (support 1, 2, ...)."""
-    return 1.0 / p, (1.0 - p) / p**2
-
-
 def max_of_geometric(count: int, p: float, unit: float) -> Duration:
     """Exact moments of the maximum of ``count`` independent geometric
     attempt counts, scaled by the attempt duration ``unit``.

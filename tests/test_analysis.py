@@ -17,12 +17,11 @@ from qrepeater.analysis import (
 from qrepeater.bell import fidelity, from_fidelity
 from qrepeater.channel import LinkParams
 from qrepeater.config import load_config
-from qrepeater.ops import NoiseParams, purify
+from qrepeater.ops import NoiseParams, connect_chain, purify, swap
 from qrepeater.protocol import (
     ProtocolConfig,
     ProtocolError,
     build_b_pair,
-    build_c_pair,
     default_schedule,
     elementary_pair,
     run_protocol,
@@ -190,6 +189,15 @@ class TestSweep:
         assert "2^k" in bad["error"]
         assert bad["fidelity"] is None
 
+    def test_empty_per_level_m_is_a_row_error(self):
+        # A per-level m cut to span 1's depth is empty, and the asymptote
+        # still needs level 0's depth.
+        base = apply_overrides(make_config(f0=0.98), m=(1, 2), target_span=7)
+        table = sweep(base, {"target_span": [1, 3]})
+        short, full = table.rows
+        assert "level 0" in short["error"] and short["f_inf"] is None
+        assert full["error"] == ""
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             sweep(make_config(), {})
@@ -221,17 +229,23 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
         link=config.link, noise=config.noise, m=m, target_span=span,
         f0=config.f0,
     )
-    built = {1: elementary_pair(sub)}
-    for record in run_protocol(sub).per_level:
-        built[record.span] = record
-    n_top = schedule[-1]
-    b = build_b_pair(built[n_top], built[n_top], sub)
-    c = build_c_pair(sub, n_top, built)
+    # The A pair of every span up to this one, span 1 first: the top
+    # level's B joins two copies of pairs[-2], and its C joins three links
+    # and two copies of pairs[-3] swapped together and purified once.
+    pairs = [elementary_pair(sub), *run_protocol(sub).per_level]
+    b = build_b_pair(pairs[-2], pairs[-2], sub)
+    elem = pairs[0].state
+    if len(pairs) == 2:
+        c_state = connect_chain([elem, elem, elem], sub.noise)
+    else:
+        swapped = swap(pairs[-3].state, pairs[-3].state, sub.noise)
+        inner = purify(swapped, swapped, sub.noise).state
+        c_state = connect_chain([elem, inner, elem, inner, elem], sub.noise)
     state = b.state
     value = fidelity(state)
     small_steps = 0
     for iteration in range(1, max_iter + 1):
-        outcome = purify(state, c.state, sub.noise)
+        outcome = purify(state, c_state, sub.noise)
         if not outcome.purifiable:
             return FixedPointResult(value, iteration, False, tol)
         state = outcome.state
@@ -350,11 +364,14 @@ def test_finite_pumping_can_exceed_the_fixed_point():
     fp = fixed_point_at_distance(cfg, 7)
     a3 = result.per_level[0]
     b = build_b_pair(a3, a3, cfg)
-    c = build_c_pair(cfg, 3, {3: a3})
+    elem = elementary_pair(cfg).state
+    swapped = swap(elem, elem, cfg.noise)
+    inner = purify(swapped, swapped, cfg.noise).state
+    c_state = connect_chain([elem, inner, elem, inner, elem], cfg.noise)
     values = [fidelity(b.state)]
     state = b.state
     for _ in range(fp.iterations):
-        state = purify(state, c.state, cfg.noise).state
+        state = purify(state, c_state, cfg.noise).state
         values.append(fidelity(state))
     assert values[0] == pytest.approx(0.69845, abs=5e-6)
     assert values[3] == fidelity(result.final.state)

@@ -249,6 +249,11 @@ class TestMainEntry:
         assert main(["headline", f"--distance-km={distance}"]) == 2
         assert "distance_km must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("distance", ["1e80", "1e300"])
+    def test_headline_time_overflow_names_the_level(self, distance, capsys):
+        assert main(["headline", f"--distance-km={distance}"]) == 2
+        assert "expected time overflows a float at level 208" in capsys.readouterr().err
+
     def test_repeated_axis_rejected(self, capsys):
         assert main(["sweep", "--axis", "m=1", "--axis", "m=2"]) == 2
         assert "duplicate axis 'm'" in capsys.readouterr().err

@@ -296,6 +296,13 @@ class TestKernelProperties:
         if out.purifiable:
             assert_normalised(out.state)
 
+    @given(s=bell_states(), p=reliabilities, eta=reliabilities)
+    def test_purifying_two_copies_accepts_at_least_half(self, s, p, eta):
+        # Agreeing parities weigh (w0+w2)^2 + (w1+w3)^2 >= 1/2, and a
+        # faithful report is at least as likely as a false one.  The sum
+        # can land one ulp below 1/2 (weights (0, 0, 1/2, 1/2) at eta = 0.97 do).
+        assert purify(s, s, NoiseParams(p, eta)).success_prob >= 0.5 - TOL
+
     @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
     def test_swap_normalised(self, a, b, p, eta):
         assert_normalised(swap(a, b, NoiseParams(p, eta)))

@@ -1,8 +1,6 @@
 """Nested protocol: construction rules, closed-form checks, expected-time
 models and the discrete-event sampler."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -149,26 +147,28 @@ class TestBuildBPair:
 class TestBuildCPair:
     def test_perfect(self):
         cfg = perfect_config()
-        c = build_c_pair(cfg, 1)
+        c = build_c_pair(None, cfg)
         assert c.species == "C" and c.span == 3
         assert np.max(np.abs(c.state.weights - [1, 0, 0, 0])) < TOL
 
     def test_three_elementary_chain(self):
         cfg = make_config(f0=0.99, span=3)
-        c = build_c_pair(cfg, 1)
+        c = build_c_pair(None, cfg)
         assert fidelity(c.state) == pytest.approx(chain_phase_only(0.99, 3), abs=TOL)
 
     def test_five_chain_with_elementary_inner_pairs(self):
-        # n = 2: the span-1 inner pairs are elementary, so the chain is
-        # five phase-only links
+        # span-1 inner pairs are elementary, so the chain is five
+        # phase-only links
         cfg = make_config(f0=0.99, span=3)
-        c = build_c_pair(cfg, 2)
+        c = build_c_pair(elementary_pair(cfg), cfg)
         assert c.span == 5
         assert fidelity(c.state) == pytest.approx(chain_phase_only(0.99, 5), abs=TOL)
 
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError, match="n >= 1"):
-            build_c_pair(make_config(), 0)
+    def test_rejects_non_a_inner(self):
+        cfg = make_config()
+        a = elementary_pair(cfg)
+        with pytest.raises(ValueError, match="A pair"):
+            build_c_pair(build_b_pair(a, a, cfg), cfg)
 
 
 class TestPump:
@@ -176,7 +176,7 @@ class TestPump:
         cfg = make_config(f0=0.9, span=3)
         a = elementary_pair(cfg)
         b = build_b_pair(a, a, cfg)
-        out = pump(b, iter(()), 0, cfg)
+        out = pump(b, build_c_pair(None, cfg), 0, cfg)
         assert out.species == "A"
         assert np.max(np.abs(out.state.weights - b.state.weights)) < TOL
         assert out.expected_time == b.expected_time
@@ -186,7 +186,7 @@ class TestPump:
         state = from_fidelity(0.9, 0.0)
         b = PairRecord("B", 3, state, 1.0, 1.0)
         c = PairRecord("C", 3, state, 1.0, 1.0)
-        out = pump(b, itertools.repeat(c), 1, cfg)
+        out = pump(b, c, 1, cfg)
         expected_f, expected_q = dejmps_phase_only(0.9, 0.9)
         assert fidelity(out.state) == pytest.approx(expected_f, abs=TOL)
         assert out.success_prob == pytest.approx(expected_q, abs=TOL)
@@ -196,22 +196,23 @@ class TestPump:
         state = from_fidelity(0.9, 0.0)
         b = PairRecord("B", 3, state, 1.0, 1.0)
         c = PairRecord("C", 3, state, 1.0, 1.0)
-        out = pump(b, itertools.repeat(c), 200, cfg)
+        out = pump(b, c, 200, cfg)
         assert fidelity(out.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_span_mismatch_rejected(self):
         cfg = make_config(span=3)
         b = PairRecord("B", 3, from_fidelity(0.9, 0.0), 1.0, 1.0)
         c = PairRecord("C", 5, from_fidelity(0.9, 0.0), 1.0, 1.0)
-        with pytest.raises(ValueError, match="span"):
-            pump(b, itertools.repeat(c), 1, cfg)
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="span"):
+                pump(b, c, m, cfg)
 
     def test_unpurifiable_raises_with_level(self):
         cfg = make_config(span=3)
         b = PairRecord("B", 3, from_fidelity(1.0, 0.0), 1.0, 1.0)
         c = PairRecord("C", 3, from_fidelity(0.0, 0.0), 1.0, 1.0)
         with pytest.raises(ProtocolError, match="level 4"):
-            pump(b, itertools.repeat(c), 1, cfg, level=4)
+            pump(b, c, 1, cfg, level=4)
 
 
 class TestRunProtocol:
@@ -278,6 +279,25 @@ class TestMonteCarloTime:
         attempts = mc.mean / cfg.link.attempt_duration_s
         se = mc.std / cfg.link.attempt_duration_s / np.sqrt(mc.n_trials)
         assert abs(attempts - 1.0 / prob) <= 3 * se
+
+    #: (span, seed) -> mean, std and the 0.5 / 0.9 / 0.99 quantiles of 400
+    #: trials; they pin the sampler's draw order for each seed.
+    PINNED = {
+        (3, 3): (0.0402385875, 0.021005501818546636, 0.0346765, 0.0696097, 0.10386872999999992),
+        (3, 4): (0.040011994999999995, 0.01995214027476337, 0.0346765, 0.0670348, 0.10346744999999996),
+        (7, 3): (0.1618469725, 0.09034085238592938, 0.1298225, 0.27676150000000005, 0.48886643999999957),
+        (7, 4): (0.1711257975, 0.10197987442378137, 0.133591, 0.2954414, 0.5592033599999999),
+        (15, 3): (0.9007443874999999, 0.4784976971536233, 0.7273185, 1.5816843999999997, 2.4316206799999978),
+        (15, 4): (0.929448875, 0.5556736515135979, 0.711961, 1.6177935000000003, 3.1417845499999997),
+    }
+
+    @pytest.mark.parametrize("span, seed", sorted(PINNED))
+    def test_pinned_per_seed(self, span, seed):
+        cfg = make_config(f0=0.98, p=0.995, eta=0.995, m=3, span=span,
+                          p_em=p_em_for_fidelity(0.98, 10 ** (-0.2)))
+        mc = monte_carlo_time(cfg, seed=seed, trials=400)
+        got = (mc.mean, mc.std, mc.quantiles[0.5], mc.quantiles[0.9], mc.quantiles[0.99])
+        assert got == pytest.approx(self.PINNED[span, seed], rel=1e-12, abs=0.0)
 
     def test_deterministic_for_seed(self):
         cfg = make_config(f0=0.98, p=0.995, eta=0.995, m=1, span=7)

@@ -10,7 +10,6 @@ from qrepeater.timing import (
     max_of_geometric,
     max_pair,
     restarting_rounds,
-    seq,
 )
 
 
@@ -30,10 +29,6 @@ class TestGeometricMax:
 
 
 class TestSeqAndMax:
-    def test_seq_adds_moments(self):
-        d = seq(Duration(1.0, 0.5), Duration(2.0, 0.25))
-        assert (d.mean, d.var) == (3.0, 0.75)
-
     def test_max_pair_degenerate(self):
         d = max_pair(Duration(3.0, 0.0), Duration(5.0, 0.0))
         assert (d.mean, d.var) == (5.0, 0.0)
