@@ -8,6 +8,7 @@ so "fidelity" always means the first Bell weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ BELL_LABELS = ("psi_minus", "psi_plus", "phi_plus", "phi_minus")
 class BellDiagonalState:
     """Probability weights of a two-qubit state over the four Bell states.
 
-    Weights must be in [0, 1] and sum to 1 within ``ATOL``.  The first
+    Weights must be finite, in [0, 1] and sum to 1 within ``ATOL``.  The first
     weight is the singlet fidelity.
     """
 
@@ -48,12 +49,14 @@ class BellDiagonalState:
     w_phi_minus: float
 
     def __post_init__(self):
-        w = self.weights
-        if np.any(w < -ATOL) or np.any(w > 1.0 + ATOL):
-            raise ValueError(f"Bell weights must lie in [0, 1], got {w.tolist()}")
-        total = float(w.sum())
+        w = (self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus)
+        if min(w) < -ATOL or max(w) > 1.0 + ATOL:
+            raise ValueError(f"Bell weights must lie in [0, 1], got {self.weights.tolist()}")
+        total = _sum4(w)
+        if not math.isfinite(total):  # a NaN weight passes the range check
+            raise ValueError(f"Bell weights must be finite, got {self.weights.tolist()}")
         if abs(total - 1.0) > ATOL:
-            raise ValueError(f"Bell weights must sum to 1 within {ATOL}, got {total!r}")
+            raise ValueError(f"Bell weights must sum to 1 within {ATOL}, got {float(total)!r}")
 
     @property
     def weights(self) -> np.ndarray:
@@ -68,14 +71,22 @@ class BellDiagonalState:
         w = np.asarray(w, dtype=float)
         if w.shape != (4,):
             raise ValueError(f"expected 4 Bell weights, got shape {w.shape}")
-        if np.any(w < -ATOL):
-            raise ValueError(f"Bell weights must be nonnegative, got {w.tolist()}")
-        total = float(w.sum())
+        w = w.tolist()
+        if min(w) < -ATOL:
+            raise ValueError(f"Bell weights must be nonnegative, got {w}")
+        total = _sum4(w)
+        if not math.isfinite(total):
+            raise ValueError(f"Bell weights and their sum must be finite, got {w}")
         if total <= 0.0:
             raise ValueError("Bell weights sum to zero; state undefined")
-        w = np.clip(w / total, 0.0, 1.0)
-        w = w / w.sum()
-        return cls(*w.tolist())
+        w = [min(max(x / total, 0.0), 1.0) for x in w]
+        total = _sum4(w)
+        return cls(w[0] / total, w[1] / total, w[2] / total, w[3] / total)
+
+
+def _sum4(w) -> float:
+    """Sum of four weights in numpy's order: left to right from 0.0."""
+    return 0.0 + w[0] + w[1] + w[2] + w[3]
 
 
 @dataclass(frozen=True)

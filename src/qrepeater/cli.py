@@ -206,8 +206,16 @@ def _parse_axes(specs: list[str] | None) -> dict:
     return axes
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="key=value config file")
+def _flag_parser(*args, **kwargs) -> argparse.ArgumentParser:
+    """A help-less parser with one flag, for a subparser's ``parents``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*args, **kwargs)
+    return parser
+
+
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes after its own."""
+    parser = _flag_parser("--config", metavar="PATH", help="key=value config file")
     parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     parser.add_argument("--seed", type=int, help="random seed (default 12345)")
     parser.add_argument("--trials", type=int, help="Monte Carlo trial count")
@@ -216,6 +224,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     for key, caster in _PHYSICAL_TYPES.items():
         parser.add_argument(f"--{key.replace('_', '-')}", type=caster, dest=key)
+    return parser
 
 
 def _resolve(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
@@ -236,28 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-qubit-per-node quantum repeater simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_link = sub.add_parser("link", help="elementary-link closed forms")
-    p_link.add_argument(
+    # One parser per flag set, shared by reference; a subcommand's own flag comes first.
+    common = _common_flags()
+    oracle = _flag_parser(
         "--oracle", action="store_true", help="append photon-mode Monte Carlo estimates"
     )
-    _add_common_flags(p_link)
-
-    p_sim = sub.add_parser("simulate", help="fidelity and time vs distance")
-    _add_common_flags(p_sim)
-
-    p_fp = sub.add_parser("fixed-point", help="pumping fixed points and asymptote")
-    p_fp.add_argument("--axis", action="append", metavar="NAME=V1,V2,...")
-    _add_common_flags(p_fp)
-
-    p_sweep = sub.add_parser("sweep", help="parameter grids")
-    p_sweep.add_argument("--axis", action="append", metavar="NAME=V1,V2,...")
-    _add_common_flags(p_sweep)
-
-    p_head = sub.add_parser("headline", help="the 1000 km scenario")
-    p_head.add_argument("--distance-km", type=float, default=1000.0)
-    _add_common_flags(p_head)
-
+    axis = _flag_parser("--axis", action="append", metavar="NAME=V1,V2,...")
+    distance = _flag_parser("--distance-km", type=float, default=1000.0)
+    sub.add_parser("link", help="elementary-link closed forms", parents=[oracle, common])
+    sub.add_parser("simulate", help="fidelity and time vs distance", parents=[common])
+    sub.add_parser(
+        "fixed-point", help="pumping fixed points and asymptote", parents=[axis, common]
+    )
+    sub.add_parser("sweep", help="parameter grids", parents=[axis, common])
+    sub.add_parser("headline", help="the 1000 km scenario", parents=[distance, common])
     return parser
 
 

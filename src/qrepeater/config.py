@@ -129,7 +129,5 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 def format_resolved(config: RunConfig) -> str:
     """Stable one-line-per-key rendering used by --print-config and the
     CSV header comments."""
-    parts = []
-    for key in sorted(config.as_dict()):
-        parts.append(f"{key} = {config.as_dict()[key]!r}")
-    return "\n".join(parts)
+    values = config.as_dict()
+    return "\n".join(f"{key} = {values[key]!r}" for key in sorted(values))

@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
-from .bell import BellDiagonalState
+from .bell import BellDiagonalState, _sum4
 
 #: Threshold below which a purification acceptance probability is treated
 #: as zero and the outcome reported unpurifiable instead of renormalised.
@@ -29,10 +27,10 @@ MIN_SUCCESS_PROB = 1e-15
 _BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
 _BIT_INDEX = {bits: k for k, bits in enumerate(_BITS)}
 
-#: XOR-composition table: _XOR[i, j] = index of the Bell label whose bits
+#: XOR-composition table: _XOR[i][j] = index of the Bell label whose bits
 #: are the bitwise XOR of labels i and j.
-_XOR = np.array(
-    [[_BIT_INDEX[(a1 ^ a2, z1 ^ z2)] for (a2, z2) in _BITS] for (a1, z1) in _BITS]
+_XOR = tuple(
+    tuple(_BIT_INDEX[(a1 ^ a2, z1 ^ z2)] for (a2, z2) in _BITS) for (a1, z1) in _BITS
 )
 
 _Y_INDEX = _BIT_INDEX[(1, 1)]  # a Y error flips both bits
@@ -73,14 +71,20 @@ class PurifyOutcome:
         return self.state is not None
 
 
-def xor_convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _xor_convolve(u, v) -> tuple:
     """Convolution of two Bell-weight vectors under bitwise-XOR label
     composition: the output distribution of stacking two independent
-    Pauli-frame errors."""
-    out = np.zeros(4)
-    for i in range(4):
-        out[_XOR[i]] += u[i] * v
-    return out
+    Pauli-frame errors.  Output k adds u[i] * v[j] over the i with
+    _XOR[i][j] = k, in i order from 0.0."""
+    return tuple(
+        0.0 + u[0] * v[_XOR[0][k]] + u[1] * v[_XOR[1][k]] + u[2] * v[_XOR[2][k]]
+        + u[3] * v[_XOR[3][k]]
+        for k in range(4)
+    )
+
+
+def _fields(state: BellDiagonalState) -> tuple:
+    return state.w_psi_minus, state.w_psi_plus, state.w_phi_plus, state.w_phi_minus
 
 
 def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> PurifyOutcome:
@@ -96,37 +100,24 @@ def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Pu
     Returns the conditioned surviving state and the total acceptance
     probability over both accepting outcome patterns.
     """
-    wa, wb = a.weights, b.weights
-    a0, a1, a2, a3 = wa
-    b0, b1, b2, b3 = wb
+    a0, a1, a2, a3 = _fields(a)
+    b0, b1, b2, b3 = _fields(b)
     # Components whose true measurement parities agree / disagree, after
     # the frame correction.  Parity classes are {Psi-, Phi+} and {Psi+, Phi-}.
-    same = np.array(
-        [
-            a0 * b0 + a2 * b2,
-            a0 * b2 + a2 * b0,
-            a1 * b3 + a3 * b1,
-            a1 * b1 + a3 * b3,
-        ]
-    )
-    cross = np.array(
-        [
-            a0 * b3 + a2 * b1,
-            a0 * b1 + a2 * b3,
-            a1 * b0 + a3 * b2,
-            a1 * b2 + a3 * b0,
-        ]
-    )
+    same = (a0 * b0 + a2 * b2, a0 * b2 + a2 * b0, a1 * b3 + a3 * b1, a1 * b1 + a3 * b3)
+    cross = (a0 * b3 + a2 * b1, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b2 + a3 * b0)
     p2 = noise.p**2
     eta = noise.eta
     g_same = eta**2 + (1.0 - eta) ** 2  # reported-equal given true-equal
     g_cross = 2.0 * eta * (1.0 - eta)   # reported-equal given true-unequal
-    unnorm = p2 * (g_same * same + g_cross * cross) + (1.0 - p2) / 8.0
-    success = min(float(unnorm.sum()), 1.0)  # clamp float round-off
+    floor = (1.0 - p2) / 8.0
+    unnorm = [p2 * (g_same * s + g_cross * c) + floor for s, c in zip(same, cross)]
+    success = min(_sum4(unnorm), 1.0)  # clamp float round-off
     if success < MIN_SUCCESS_PROB:
         return PurifyOutcome(state=None, success_prob=success)
     return PurifyOutcome(
-        state=BellDiagonalState.from_weights(unnorm / success), success_prob=success
+        state=BellDiagonalState.from_weights([u / success for u in unnorm]),
+        success_prob=success,
     )
 
 
@@ -139,16 +130,15 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
     deterministic.  Independent flips of the two outcome bits appear as
     an extra X / Z error convolved onto the result.
     """
-    eta = noise.eta
-    meas_err = np.zeros(4)
-    for (ea, ez), k in _BIT_INDEX.items():
-        meas_err[k] = (1.0 - eta if ea else eta) * (1.0 - eta if ez else eta)
-    ideal = xor_convolve(xor_convolve(a.weights, b.weights), meas_err)
+    eta, p = noise.eta, noise.p
+    meas_err = [
+        (1.0 - eta if ea else eta) * (1.0 - eta if ez else eta) for ea, ez in _BITS
+    ]
+    ideal = _xor_convolve(_xor_convolve(_fields(a), _fields(b)), meas_err)
     # The outcome-bit frame leaves two perfect singlets on Phi+; the fixed
     # correction includes a Y that moves the target back to Psi-.
-    ideal = ideal[_XOR[_Y_INDEX]]
-    out = noise.p * ideal + (1.0 - noise.p) / 4.0
-    return BellDiagonalState.from_weights(out)
+    floor = (1.0 - p) / 4.0
+    return BellDiagonalState.from_weights([p * ideal[k] + floor for k in _XOR[_Y_INDEX]])
 
 
 def connect_chain(pairs, noise: NoiseParams) -> BellDiagonalState:

@@ -52,6 +52,76 @@ class TestBellDiagonalState:
         assert s.weights.sum() == pytest.approx(1.0, abs=ATOL)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteWeights:
+    """A NaN state used to construct, and purified with purifiable == True
+    and a NaN acceptance probability; from_weights turned NaN and +inf
+    weights into an all-NaN state."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [(NAN, 0.0, 0.0, 1.0), (0.0, NAN, 0.0, 1.0), (INF, 0.0, 0.0, 0.0), (-INF, 1.0, 0.0, 0.0)],
+    )
+    def test_constructor_rejects(self, w):
+        with pytest.raises(ValueError, match=r"Bell weights must .* got \["):
+            BellDiagonalState(*w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [NAN, 1.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, NAN],
+            [INF, 0.0, 0.0, 0.0],
+            [-INF, 1.0, 0.0, 0.0],
+            [1e308, 1e308, 0.0, 0.0],  # finite weights, overflowing sum
+        ],
+    )
+    def test_from_weights_rejects(self, w):
+        with pytest.raises(ValueError, match=r"Bell weights .* got \["):
+            BellDiagonalState.from_weights(w)
+
+
+class TestErrorMessages:
+    """The messages of the checks that predate the non-finite ones, pinned."""
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ((1.1, -0.1, 0.0, 0.0), "Bell weights must lie in [0, 1], got [1.1, -0.1, 0.0, 0.0]"),
+            ((2, 0, 0, 0), "Bell weights must lie in [0, 1], got [2, 0, 0, 0]"),
+            ((INF, 0.0, 0.0, 0.0), "Bell weights must lie in [0, 1], got [inf, 0.0, 0.0, 0.0]"),
+            (
+                (0.5, 0.1, 0.1, 0.1),
+                "Bell weights must sum to 1 within 1e-12, got 0.7999999999999999",
+            ),
+            ((1, 0.5, 0, 0), "Bell weights must sum to 1 within 1e-12, got 1.5"),
+        ],
+    )
+    def test_constructor(self, w, message):
+        with pytest.raises(ValueError) as raised:
+            BellDiagonalState(*w)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ([0.5, -0.1, 0.3, 0.3], "Bell weights must be nonnegative, got [0.5, -0.1, 0.3, 0.3]"),
+            ([-INF, 1, 0, 0], "Bell weights must be nonnegative, got [-inf, 1.0, 0.0, 0.0]"),
+            ([0.0, 0.0, 0.0, 0.0], "Bell weights sum to zero; state undefined"),
+            ([-1e-13, 1e-13, 0, 0], "Bell weights sum to zero; state undefined"),
+            ([1, 2, 3], "expected 4 Bell weights, got shape (3,)"),
+            ([[0.5, 0.5], [0, 0]], "expected 4 Bell weights, got shape (2, 2)"),
+            (0.5, "expected 4 Bell weights, got shape ()"),
+        ],
+    )
+    def test_from_weights(self, w, message):
+        with pytest.raises(ValueError) as raised:
+            BellDiagonalState.from_weights(w)
+        assert str(raised.value) == message
+
+
 class TestFromFidelity:
     def test_perfect_fidelity_puts_all_weight_on_singlet(self):
         s = from_fidelity(1.0, 0.3)

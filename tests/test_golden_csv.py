@@ -1,11 +1,14 @@
-"""The README commands' CSV output, pinned byte for byte.
+"""The README commands' CSV output and the ``--help`` texts, pinned byte
+for byte.
 
 The SHA-256 digests were recorded from separate ``qrepeater`` processes
-at commit 93441ad; any change to a number, its formatting or the header
-comments shows up here.
+at commit 93441ad (``GOLDEN_SHA256``) and 8825bd1 (``MORE_SHA256`` and
+``HELP_SHA256``, the help with ``COLUMNS=80``); any change to a number,
+its formatting, the header comments or a flag shows up here.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -30,3 +33,41 @@ def test_readme_command_csv_matches_recorded_digest(command, tmp_path):
     out = tmp_path / "out.csv"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[command]
+
+
+MORE_SHA256 = {
+    # The README figure sweep.
+    "sweep --axis f0=0.96,0.97,0.98,0.99,1.0 --axis target_span=3,7,15,31,63,127 --tc-s 70e-6":
+        "9f84de07a85b80a60696f76163edd1ab70f099e1213036793ce5b9897b40ad41",
+    "headline --distance-km 20000 --p 0.995 --eta 0.995 --m 3":
+        "df201303c40683543eb32fe9f7c40e2a715028410f9a4178915dc43416011085",
+}
+
+HELP_SHA256 = {
+    "": "d70dd8029fe7e2fb09996ef83780c0e0fff91cd98f8f18ad2d948f3d0156a7bf",
+    "link": "c2c75110dcf659b587e3c159d7c35ef71c4bb7b86002ede0b80514c6438154e3",
+    "simulate": "72f754a0634edab49f272fe58aec5b4563ef867d7da5cf17cc9d449a425314d0",
+    "fixed-point": "5a5adb43afe83d46628c05d277ee3202487d3ea644925821dd16ca66502de34e",
+    "sweep": "a432abea0c7b50d3bf9b3f34174e40dbe1c10bf83682d075615b4f62127fb5da",
+    "headline": "41adfb597874fc2645c4e74d29f37bfe08109a52c7918cf7a19bcf96f3de8e20",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MORE_SHA256))
+def test_more_command_csv_matches_recorded_digest(command, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MORE_SHA256[command]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse layout"
+)
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_matches_recorded_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(command.split() + ["--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]

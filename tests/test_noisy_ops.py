@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrepeater.bell import (
+    ATOL,
     BELL_VECTORS,
     BellDiagonalState,
     bell_offdiagonal_norm,
@@ -25,7 +26,7 @@ from qrepeater.exact import (
     swap_oracle,
     swap_oracle_matrix,
 )
-from qrepeater.ops import NoiseParams, connect_chain, purify, swap
+from qrepeater.ops import MIN_SUCCESS_PROB, NoiseParams, connect_chain, purify, swap
 
 TOL = 1e-12
 
@@ -316,3 +317,130 @@ class TestKernelProperties:
         assert out.state == singlet
         assert swap(singlet, singlet, perfect) == singlet
         assert connect_chain([singlet] * length, perfect) == singlet
+
+
+# Test-only references: the numpy bodies of ``from_weights``, ``purify`` and
+# ``swap`` before the kernels moved to plain floats.  The kernels must
+# reproduce them bit for bit: the 1e-12 oracle checks cannot see a change in
+# the order four weights are added, but the last printed digit can.
+
+_REF_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
+_REF_BIT_INDEX = {bits: k for k, bits in enumerate(_REF_BITS)}
+_REF_XOR = np.array(
+    [[_REF_BIT_INDEX[(a1 ^ a2, z1 ^ z2)] for (a2, z2) in _REF_BITS] for (a1, z1) in _REF_BITS]
+)
+
+
+def reference_from_weights(w):
+    w = np.asarray(w, dtype=float)
+    if w.shape != (4,):
+        raise ValueError(f"expected 4 Bell weights, got shape {w.shape}")
+    if np.any(w < -ATOL):
+        raise ValueError(f"Bell weights must be nonnegative, got {w.tolist()}")
+    total = float(w.sum())
+    if total <= 0.0:
+        raise ValueError("Bell weights sum to zero; state undefined")
+    w = np.clip(w / total, 0.0, 1.0)
+    w = w / w.sum()
+    return BellDiagonalState(*w.tolist())
+
+
+def reference_xor_convolve(u, v):
+    out = np.zeros(4)
+    for i in range(4):
+        out[_REF_XOR[i]] += u[i] * v
+    return out
+
+
+def reference_purify(a, b, noise):
+    wa, wb = a.weights, b.weights
+    a0, a1, a2, a3 = wa
+    b0, b1, b2, b3 = wb
+    same = np.array(
+        [a0 * b0 + a2 * b2, a0 * b2 + a2 * b0, a1 * b3 + a3 * b1, a1 * b1 + a3 * b3]
+    )
+    cross = np.array(
+        [a0 * b3 + a2 * b1, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b2 + a3 * b0]
+    )
+    p2 = noise.p**2
+    eta = noise.eta
+    g_same = eta**2 + (1.0 - eta) ** 2
+    g_cross = 2.0 * eta * (1.0 - eta)
+    unnorm = p2 * (g_same * same + g_cross * cross) + (1.0 - p2) / 8.0
+    success = min(float(unnorm.sum()), 1.0)
+    if success < MIN_SUCCESS_PROB:
+        return None, success
+    return reference_from_weights(unnorm / success), success
+
+
+def reference_swap(a, b, noise):
+    eta = noise.eta
+    meas_err = np.zeros(4)
+    for (ea, ez), k in _REF_BIT_INDEX.items():
+        meas_err[k] = (1.0 - eta if ea else eta) * (1.0 - eta if ez else eta)
+    ideal = reference_xor_convolve(reference_xor_convolve(a.weights, b.weights), meas_err)
+    ideal = ideal[_REF_XOR[_REF_BIT_INDEX[(1, 1)]]]
+    out = noise.p * ideal + (1.0 - noise.p) / 4.0
+    return reference_from_weights(out)
+
+
+def bits(state):
+    """The four weights as exact hex strings (tells -0.0 from 0.0)."""
+    return None if state is None else [float(x).hex() for x in state.weights.tolist()]
+
+
+def raw_weights():
+    """Length-4 vectors from_weights accepts or rejects by sign or zero sum,
+    including the small negatives it clips."""
+    return st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=-1e-12, max_value=1e-12),
+            st.floats(min_value=0.0, max_value=1e6),
+            st.sampled_from([0.0, -0.0, -2e-12]),
+        ),
+        min_size=4,
+        max_size=4,
+    )
+
+
+class TestKernelsMatchNumpyReference:
+    @given(w=raw_weights())
+    def test_from_weights(self, w):
+        try:
+            expected = bits(reference_from_weights(w))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                BellDiagonalState.from_weights(w)
+            assert str(raised.value) == str(exc)
+        else:
+            assert bits(BellDiagonalState.from_weights(w)) == expected
+            assert bits(BellDiagonalState.from_weights(np.array(w))) == expected
+
+    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    def test_purify(self, a, b, p, eta):
+        noise = NoiseParams(p, eta)
+        state, success = reference_purify(a, b, noise)
+        out = purify(a, b, noise)
+        assert out.success_prob == success
+        assert bits(out.state) == bits(state)
+
+    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    def test_swap(self, a, b, p, eta):
+        noise = NoiseParams(p, eta)
+        assert bits(swap(a, b, noise)) == bits(reference_swap(a, b, noise))
+
+    @pytest.mark.parametrize("p", [1.0, 0.999, 0.995, 0.97])
+    @pytest.mark.parametrize("f0", [1.0, 0.98, 0.9])
+    @pytest.mark.parametrize("upsilon", [0.0, 0.3])
+    def test_chained_like_a_ladder(self, p, f0, upsilon):
+        # Near-singlet states fed back into the kernels, as the ladder does.
+        noise = NoiseParams(p, p, upsilon)
+        new = ref = from_fidelity(f0, upsilon)
+        for _ in range(12):
+            new, ref = swap(new, new, noise), reference_swap(ref, ref, noise)
+            assert bits(new) == bits(ref)
+            out, (ref, success) = purify(new, new, noise), reference_purify(ref, ref, noise)
+            assert out.success_prob == success
+            new = out.state
+            assert bits(new) == bits(ref)
