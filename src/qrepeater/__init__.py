@@ -2,24 +2,17 @@
 
 Library layout:
 
-- :mod:`qrepeater.bell` -- Bell-diagonal states and the exact density-matrix form
+- :mod:`qrepeater.bell` -- Bell-diagonal states
 - :mod:`qrepeater.ops` -- purification and swapping recurrences under noise
-- :mod:`qrepeater.exact` -- brute-force 16x16 oracle for the same primitives
+- :mod:`qrepeater.exact` -- exact density matrices and the brute-force 16x16
+  oracle for the same primitives (the only module that imports numpy on load)
 - :mod:`qrepeater.channel` -- lossy-link success probability, fidelity and timing
 - :mod:`qrepeater.protocol` -- the nested pumping protocol and its time models
 - :mod:`qrepeater.analysis` -- fixed points, asymptotes and parameter sweeps
 - :mod:`qrepeater.cli` -- the ``qrepeater`` command-line front end
 """
 
-from .bell import (
-    BELL_VECTORS,
-    BellDiagonalState,
-    DensityMatrix,
-    bell_project,
-    fidelity,
-    from_fidelity,
-    to_density,
-)
+from .bell import BellDiagonalState, fidelity, from_fidelity
 from .channel import (
     LinkParams,
     PhotonOracleResult,
@@ -56,9 +49,7 @@ from .analysis import (
 )
 
 __all__ = [
-    "BELL_VECTORS",
     "BellDiagonalState",
-    "DensityMatrix",
     "FixedPointResult",
     "LinkParams",
     "NoiseParams",
@@ -71,7 +62,6 @@ __all__ = [
     "SweepTable",
     "TimeDistribution",
     "asymptotic_fidelity",
-    "bell_project",
     "build_b_pair",
     "build_c_pair",
     "channel_efficiency",
@@ -94,7 +84,6 @@ __all__ = [
     "run_protocol",
     "swap",
     "sweep",
-    "to_density",
 ]
 
 __version__ = "0.1.0"

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .bell import BellDiagonalState, from_fidelity
 
 #: Signal velocity in fiber used for the default classical-heralding time.
@@ -149,6 +147,8 @@ def photon_mode_oracle(
     _check_unit("eps", eps)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     spin_a = rng.integers(0, 2, size=trials)
     spin_b = rng.integers(0, 2, size=trials)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .bell import BellDiagonalState, from_fidelity
 from .channel import (
     LinkParams,
@@ -38,6 +36,10 @@ from .timing import (
     max_of_geometric,
     restarting_rounds,
 )
+
+#: numpy, imported on the first monte_carlo_time call so the analytic path
+#: never loads it; looked up at each call, so a replacement here takes effect.
+np = None
 
 
 class ProtocolError(RuntimeError):
@@ -268,14 +270,20 @@ def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord
     return PairRecord("C", span, state, dur.mean, 1.0, dur.var)
 
 
-def _pump(
+def pump(
     b: PairRecord,
     c: PairRecord,
     m: int,
     config: ProtocolConfig,
-    level: int | None,
+    level: int | None = None,
 ) -> tuple[PairRecord, tuple[float, ...]]:
-    """:func:`pump` plus the acceptance probability of each step."""
+    """Purify the stored B pair m consecutive times, each round with a
+    fresh copy of the same-span fodder pair ``c``; all rounds must
+    accept, and any rejection restarts the level from scratch (that
+    enters the time, not the conditioned state).  m = 0 relabels the B
+    pair as A.
+
+    Returns the A pair and the acceptance probability of each step."""
     where = f" at level {level}" if level is not None else ""
     if b.species != "B":
         raise ValueError(f"pump needs a B pair, got species {b.species!r}")
@@ -299,21 +307,6 @@ def _pump(
     dur = restarting_rounds(b.duration, c.duration, config.link.tc_s, probs)
     a = PairRecord("A", b.span, state, dur.mean, math.prod(probs), dur.var)
     return a, tuple(probs)
-
-
-def pump(
-    b: PairRecord,
-    c: PairRecord,
-    m: int,
-    config: ProtocolConfig,
-    level: int | None = None,
-) -> PairRecord:
-    """Purify the stored B pair m consecutive times, each round with a
-    fresh copy of the same-span fodder pair ``c``; all rounds must
-    accept, and any rejection restarts the level from scratch (that
-    enters the time, not the conditioned state).  m = 0 relabels the B
-    pair as A."""
-    return _pump(b, c, m, config, level)[0]
 
 
 @dataclass(frozen=True)
@@ -347,7 +340,7 @@ def ladder(config: ProtocolConfig) -> Iterator[Level]:
             else:
                 helper, helper_q = _helper_pair(below2, config)
             c = build_c_pair(helper, config)
-            a, step_probs = _pump(b, c, config.m_at_level(idx), config, idx)
+            a, step_probs = pump(b, c, config.m_at_level(idx), config, idx)
         except OverflowError as exc:
             raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
         yield Level(below.span, b, c, step_probs, helper_q, a)
@@ -394,6 +387,9 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     Vectorised over trials with a single seeded generator, so results
     are reproducible for a fixed seed.
     """
+    global np
+    if np is None:
+        import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     prob, unit = _link_prob_and_unit(config)

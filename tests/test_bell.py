@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qrepeater.bell import (
-    ATOL,
+from qrepeater.bell import ATOL, BellDiagonalState, fidelity, from_fidelity
+from qrepeater.exact import (
     BELL_VECTORS,
-    BellDiagonalState,
     DensityMatrix,
     bell_offdiagonal_norm,
     bell_project,
-    fidelity,
-    from_fidelity,
     to_density,
 )
 

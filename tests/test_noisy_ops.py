@@ -7,16 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qrepeater.bell import (
-    ATOL,
-    BELL_VECTORS,
-    BellDiagonalState,
-    bell_offdiagonal_norm,
-    fidelity,
-    from_fidelity,
-    to_density,
-)
+from qrepeater.bell import ATOL, BellDiagonalState, fidelity, from_fidelity
 from qrepeater.exact import (
+    BELL_VECTORS,
+    bell_offdiagonal_norm,
     cnot,
     noisy_gate,
     noisy_measure,
@@ -25,6 +19,7 @@ from qrepeater.exact import (
     purify_oracle_matrix,
     swap_oracle,
     swap_oracle_matrix,
+    to_density,
 )
 from qrepeater.ops import MIN_SUCCESS_PROB, NoiseParams, connect_chain, purify, swap
 
@@ -404,6 +399,27 @@ def raw_weights():
     )
 
 
+def from_weights_outcome(build, w):
+    """Weight bits of ``build(w)``, or the type and message it raised."""
+    try:
+        return bits(build(w))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: Inputs of the wrong shape or kind, each built fresh (a generator is
+#: consumed by its first use).
+MALFORMED_WEIGHTS = {
+    "column (4, 1)": lambda: np.full((4, 1), 0.25),
+    "nested list (4, 1)": lambda: [[0.25], [0.25], [0.25], [0.25]],
+    "matrix (2, 2)": lambda: [[0.5, 0.0], [0.0, 0.5]],
+    "length 3": lambda: [0.5, 0.25, 0.25],
+    "length 5": lambda: [0.2] * 5,
+    "empty": lambda: [],
+    "generator": lambda: (x for x in [0.25] * 4),
+}
+
+
 class TestKernelsMatchNumpyReference:
     @given(w=raw_weights())
     def test_from_weights(self, w):
@@ -416,6 +432,21 @@ class TestKernelsMatchNumpyReference:
         else:
             assert bits(BellDiagonalState.from_weights(w)) == expected
             assert bits(BellDiagonalState.from_weights(np.array(w))) == expected
+
+    @given(
+        w=st.one_of(raw_weights(), st.lists(st.integers(-2, 9), min_size=4, max_size=4)),
+        form=st.sampled_from([list, tuple, np.array, lambda w: [np.float64(x) for x in w]]),
+    )
+    def test_from_weights_input_forms(self, w, form):
+        # Only a list of four Python floats skips np.asarray; every other
+        # form must give the reference's bits or its error.
+        expected = from_weights_outcome(reference_from_weights, form(w))
+        assert from_weights_outcome(BellDiagonalState.from_weights, form(w)) == expected
+
+    @pytest.mark.parametrize("make", MALFORMED_WEIGHTS.values(), ids=MALFORMED_WEIGHTS)
+    def test_from_weights_malformed_inputs(self, make):
+        expected = from_weights_outcome(reference_from_weights, make())
+        assert from_weights_outcome(BellDiagonalState.from_weights, make()) == expected
 
     @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
     def test_purify(self, a, b, p, eta):

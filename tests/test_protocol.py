@@ -176,8 +176,8 @@ class TestPump:
         cfg = make_config(f0=0.9, span=3)
         a = elementary_pair(cfg)
         b = build_b_pair(a, a, cfg)
-        out = pump(b, build_c_pair(None, cfg), 0, cfg)
-        assert out.species == "A"
+        out, probs = pump(b, build_c_pair(None, cfg), 0, cfg)
+        assert out.species == "A" and probs == ()
         assert np.max(np.abs(out.state.weights - b.state.weights)) < TOL
         assert out.expected_time == b.expected_time
 
@@ -186,7 +186,8 @@ class TestPump:
         state = from_fidelity(0.9, 0.0)
         b = PairRecord("B", 3, state, 1.0, 1.0)
         c = PairRecord("C", 3, state, 1.0, 1.0)
-        out = pump(b, c, 1, cfg)
+        out, probs = pump(b, c, 1, cfg)
+        assert probs == (out.success_prob,)
         expected_f, expected_q = dejmps_phase_only(0.9, 0.9)
         assert fidelity(out.state) == pytest.approx(expected_f, abs=TOL)
         assert out.success_prob == pytest.approx(expected_q, abs=TOL)
@@ -196,7 +197,8 @@ class TestPump:
         state = from_fidelity(0.9, 0.0)
         b = PairRecord("B", 3, state, 1.0, 1.0)
         c = PairRecord("C", 3, state, 1.0, 1.0)
-        out = pump(b, c, 200, cfg)
+        out, probs = pump(b, c, 200, cfg)
+        assert len(probs) == 200
         assert fidelity(out.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_span_mismatch_rejected(self):
