@@ -1,11 +1,22 @@
 """Nested protocol: construction rules, closed-form checks, expected-time
 models and the discrete-event sampler."""
 
+import itertools
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from qrepeater import protocol
 from qrepeater.bell import fidelity, from_fidelity
-from qrepeater.channel import LinkParams, entangle_success_prob, p_em_for_fidelity
+from qrepeater.channel import (
+    LinkParams,
+    channel_efficiency,
+    entangle_success_prob,
+    p_em_for_fidelity,
+)
 from qrepeater.ops import NoiseParams
 from qrepeater.protocol import (
     PairRecord,
@@ -15,6 +26,7 @@ from qrepeater.protocol import (
     build_c_pair,
     default_schedule,
     elementary_pair,
+    ladder,
     monte_carlo_time,
     pump,
     round_span_up,
@@ -326,3 +338,174 @@ class TestMonteCarloTime:
         cfg = make_config(f0=0.98, p=0.995, eta=0.995, m=1, span=7)
         mc = monte_carlo_time(cfg, seed=31, trials=2_000)
         assert mc.quantiles[0.5] <= mc.quantiles[0.9] <= mc.quantiles[0.99]
+
+
+class CountingGenerator:
+    """A numpy Generator (``generator``) that logs each array draw as
+    (kind, variates); a geometric draw logs as the exponential draw it is
+    made from."""
+
+    def __init__(self, seed):
+        self.generator = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+        kind = "standard_exponential" if name == "geometric" else name
+
+        def logged(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((kind, out.size))
+            return out
+
+        setattr(self, name, logged)
+        return logged
+
+
+def reference_monte_carlo_samples(config, rng, trials):
+    """The sampler body before its link maxima came from exponentials,
+    kept as a test-only reference: ``rng.geometric(...).max(axis=1)``,
+    zero-started totals and index arrays for every trial."""
+    prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
+    unit = config.link.attempt_duration_s
+    tc = config.link.tc_s
+    levels = list(itertools.islice(ladder(config), len(config.schedule)))
+
+    def sample_links(count, racers):
+        draws = rng.geometric(prob, size=(count, racers))
+        return draws.max(axis=1).astype(float) * unit
+
+    def restarting(sample_base, sample_round, level, probs, count):
+        total = np.zeros(count)
+        pending = np.arange(count)
+        while pending.size:
+            attempt = sample_base(level, pending.size)
+            live = np.arange(pending.size)
+            for q in probs:
+                attempt[live] += sample_round(level, live.size) + tc
+                live = live[rng.random(live.size) < q]
+                if not live.size:
+                    break
+            total[pending] += attempt
+            failed = np.ones(pending.size, dtype=bool)
+            failed[live] = False
+            pending = pending[failed]
+        return total
+
+    def sample_level(level, count):
+        if level < 0:
+            return sample_links(count, 1)
+        return restarting(sample_b, sample_c, level, levels[level].step_probs, count)
+
+    def sample_swapped(level, count):
+        if level < 0:
+            return sample_links(count, 2) + tc
+        return np.maximum(sample_level(level, count), sample_level(level, count)) + tc
+
+    def sample_b(level, count):
+        if level == 0:
+            return sample_links(count, 3) + tc
+        stage = np.maximum(sample_level(level - 1, count), sample_level(level - 1, count))
+        return np.maximum(stage, sample_links(count, 1)) + tc
+
+    def sample_c(level, count):
+        if level == 0:
+            return sample_links(count, 3) + tc
+        helper_q = (levels[level].helper_q,)
+        stage = np.maximum(
+            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
+            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
+        )
+        return np.maximum(stage, sample_links(count, 3)) + tc
+
+    return sample_level(len(levels) - 1, trials)
+
+
+def sampler_config(span, m, f0, tc_s):
+    link = LinkParams(
+        l0_km=20.0, attenuation_db_per_km=0.2, p_em=0.05, eps_local=1.0,
+        t0_s=1e-6, tc_s=tc_s,
+    )
+    if isinstance(m, tuple):
+        m = m[: len(default_schedule(span))]
+    return ProtocolConfig(link, NoiseParams(0.999, 0.999), m=m, target_span=span, f0=f0)
+
+
+@pytest.fixture(scope="class")
+def numpy_loaded():
+    # The sampler's helpers read protocol.np, which the first
+    # monte_carlo_time call fills.
+    monte_carlo_time(sampler_config(1, 0, None, None), seed=0, trials=1)
+
+
+class TestSamplerMatchesGeometricReference:
+    @pytest.mark.parametrize("m", [0, 1, 3, (2, 0, 1, 0)], ids=str)
+    @pytest.mark.parametrize("span", [1, 3, 7, 15, 31])
+    def test_same_samples_and_draws(self, span, m, monkeypatch):
+        gens = []
+
+        def counting_rng(seed):
+            gens.append(CountingGenerator(seed))
+            return gens[-1]
+
+        counting_np = types.ModuleType(np.__name__)
+        vars(counting_np).update(vars(np))
+        counting_np.random = types.SimpleNamespace(default_rng=counting_rng)
+        monkeypatch.setattr(protocol, "np", counting_np)
+        for f0 in (None, 0.98):
+            for tc_s in (0.0, None):
+                cfg = sampler_config(span, m, f0, tc_s)
+                for seed in (1, 2, 3):
+                    reference = CountingGenerator(seed)
+                    expected = reference_monte_carlo_samples(cfg, reference, 3)
+                    got = monte_carlo_time(cfg, seed, 3).samples
+                    assert got.tobytes() == expected.tobytes()
+                    assert gens[-1].calls == reference.calls
+                    assert gens[-1].generator.random() == reference.generator.random()
+
+    def test_link_draws_use_inversion(self):
+        # numpy draws a geometric by inversion of an exponential only for
+        # success probabilities below 1/3; a link's is largest at
+        # p_em = eps = 1.
+        assert entangle_success_prob(1.0, 1.0) < 1 / 3
+
+    @given(
+        p=st.floats(1e-12, entangle_success_prob(1.0, 1.0)),
+        racers=st.sampled_from([1, 2, 3]),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_link_maxima_match_geometric_maxima(self, numpy_loaded, p, racers, count, seed):
+        """The max of racing links' attempt counts, from exponentials, is
+        the max of numpy's geometric draws, and leaves the generator in
+        the same state.  The forms differ only for counts >= 2^63, which
+        numpy clamps to INT64_MAX; p >= 1e-12 keeps counts far below."""
+        unit = 1.1e-4
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = old.geometric(p, (count, racers)).max(axis=1).astype(float) * unit
+        got = protocol._link_maxima(new, -math.log1p(-p), unit, count, racers)
+        assert got.tobytes() == expected.tobytes()
+        assert new.random() == old.random()
+
+    BAD_ARGS = {
+        "trials-float": ({"seed": 1, "trials": 2.5}, "trials must be an int >= 1"),
+        "trials-bool": ({"seed": 1, "trials": True}, "trials must be an int >= 1"),
+        "trials-str": ({"seed": 1, "trials": "5"}, "trials must be an int >= 1"),
+        "trials-zero": ({"seed": 1, "trials": 0}, "trials must be an int >= 1"),
+        "seed-negative": ({"seed": -1, "trials": 5}, "seed must be an int >= 0"),
+        "seed-none": ({"seed": None, "trials": 5}, "seed must be an int >= 0"),
+        "seed-bool": ({"seed": False, "trials": 5}, "seed must be an int >= 0"),
+    }
+
+    @pytest.mark.parametrize("kwargs, message", BAD_ARGS.values(), ids=BAD_ARGS)
+    def test_bad_seed_or_trials_rejected_first(self, kwargs, message, monkeypatch):
+        # Checked before numpy is loaded into protocol.np and before the
+        # ladder is built.
+        def no_ladder(config):
+            raise AssertionError("ladder built before the arguments were checked")
+
+        monkeypatch.setattr(protocol, "np", None)
+        monkeypatch.setattr(protocol, "_build_levels", no_ladder)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_time(make_config(span=7), **kwargs)
+        assert protocol.np is None
