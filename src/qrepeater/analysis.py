@@ -25,6 +25,7 @@ from .protocol import (
     default_schedule,
     elementary_pair,
     ladder,
+    pumping_depth,
 )
 
 FIXED_POINT_TOL = 1e-9
@@ -138,9 +139,9 @@ def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedP
 
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     """New ProtocolConfig with the named physical parameters replaced; a
-    per-level m is stretched or cut to the new target span's depth.  The
-    virtual field ``p_eta`` sets the gate and measurement reliabilities
-    jointly."""
+    per-level m is stretched or cut to the new target span's depth by the
+    rule of :func:`pumping_depth`.  The virtual field ``p_eta`` sets the
+    gate and measurement reliabilities jointly."""
     if "p_eta" in overrides:
         value = overrides.pop("p_eta")
         overrides.setdefault("p", value)
@@ -159,7 +160,7 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     link = replace(config.link, **link_kw)
     noise = replace(config.noise, **noise_kw)
     if not isinstance(m, int):
-        m = tuple(m[min(i, len(m) - 1)] for i in range(len(default_schedule(target))))
+        m = tuple(pumping_depth(m, i) for i in range(len(default_schedule(target))))
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 
 

@@ -145,8 +145,7 @@ def photon_mode_oracle(
     """
     _check_unit("p_em", p_em)
     _check_unit("eps", eps)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    check_sampler_args(seed, trials)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -167,6 +166,13 @@ def photon_mode_oracle(
     f0_hat = float(contrib.mean())
     f0_se = float(contrib.std(ddof=1) / math.sqrt(successes)) if successes > 1 else math.nan
     return PhotonOracleResult(p_hat, f0_hat, p_se, f0_se, trials, successes)
+
+
+def check_sampler_args(seed: int, trials: int) -> None:
+    """Both samplers' check, run before numpy loads: int seed >= 0, int trials >= 1."""
+    for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def _check_unit(name: str, value: float) -> None:

@@ -67,11 +67,19 @@ def _render_csv(config: RunConfig, command: str, header: list[str], rows: list[l
     return buf.getvalue()
 
 
+def _sweep_csv(config: RunConfig, command: str, axes: dict, columns: list[str]) -> str:
+    """The sweep table over ``axes``: the axis values, then ``columns``."""
+    table = sweep(config.protocol_config(), axes)
+    header = [name for name, _ in table.axes] + columns
+    rows = [[row[key] for key in header] for row in table.rows]
+    return _render_csv(config, command, header, rows)
+
+
 def cmd_link(config: RunConfig, oracle: bool = False) -> str:
     """Closed-form link report: efficiency, success probability, initial
     fidelity and expected time; ``oracle`` appends Monte Carlo estimates
     with standard errors."""
-    link = config.link_params()
+    link = config.protocol_config().link
     eps = channel_efficiency(link)
     prob = entangle_success_prob(link.p_em, eps)
     f0 = initial_fidelity(link.p_em, eps)
@@ -86,13 +94,15 @@ def cmd_link(config: RunConfig, oracle: bool = False) -> str:
 
 
 def cmd_simulate(config: RunConfig) -> str:
-    """Fidelity, fixed point and expected time at every schedule prefix
-    span up to the target."""
-    t_link = expected_link_time(config.link_params())
+    """Fidelity, fixed point and expected time at every prefix span up to
+    the target; ``time_in_t0_units`` is empty for zero-time links."""
+    pcfg = config.protocol_config()
+    t_link = expected_link_time(pcfg.link)
     rows = []
-    for pair, fp in prefix_fixed_points(config.protocol_config()):
+    for pair, fp in prefix_fixed_points(pcfg):
         t, fid = pair.expected_time, fidelity(pair.state)
-        rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, t / t_link])
+        units = t / t_link if t_link else None
+        rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
     header = [
         "span_segments",
         "distance_km",
@@ -107,16 +117,9 @@ def cmd_simulate(config: RunConfig) -> str:
 def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
     """Fixed point F_FP per span and the distance asymptote; with axes, a
     grid of (F_FP at target span, F_inf) per point."""
-    pcfg = config.protocol_config()
     if axes:
-        table = sweep(pcfg, axes)
-        names = [name for name, _ in table.axes]
-        header = names + ["f_fp", "f_inf", "error"]
-        rows = [
-            [row[n] for n in names] + [row["f_fp"], row["f_inf"], row["error"]]
-            for row in table.rows
-        ]
-        return _render_csv(config, "fixed-point", header, rows)
+        return _sweep_csv(config, "fixed-point", axes, ["f_fp", "f_inf", "error"])
+    pcfg = config.protocol_config()
     asym = asymptotic_fidelity(pcfg)
     rows = [
         [pair.span, pair.span * config.l0_km, fp.value, asym.value]
@@ -131,15 +134,8 @@ def cmd_sweep(config: RunConfig, axes: dict) -> str:
     parameter grid."""
     if not axes:
         raise ValueError("sweep requires at least one --axis NAME=V1,V2,...")
-    table = sweep(config.protocol_config(), axes)
-    names = [name for name, _ in table.axes]
-    header = names + ["fidelity", "f_fp", "f_inf", "expected_time_s", "error"]
-    rows = [
-        [row[n] for n in names]
-        + [row["fidelity"], row["f_fp"], row["f_inf"], row["expected_time_s"], row["error"]]
-        for row in table.rows
-    ]
-    return _render_csv(config, "sweep", header, rows)
+    columns = ["fidelity", "f_fp", "f_inf", "expected_time_s", "error"]
+    return _sweep_csv(config, "sweep", axes, columns)
 
 
 def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
@@ -149,8 +145,7 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
     span = round_span_up(math.ceil(distance_km / config.l0_km))
     pcfg = apply_overrides(config.protocol_config(), target_span=span)
-    link = config.link_params()
-    eps = channel_efficiency(link)
+    eps = channel_efficiency(pcfg.link)
     result = run_protocol(pcfg)
     fid = fidelity(result.final.state)
     rows = [
@@ -159,7 +154,7 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
             span,
             span * config.l0_km,
             eps,
-            initial_fidelity(link.p_em, eps),
+            initial_fidelity(pcfg.link.p_em, eps),
             fid,
             result.total_expected_time,
             BELL_VIOLATION_FIDELITY,
@@ -279,11 +274,8 @@ def main(argv: list[str] | None = None) -> int:
             text = cmd_fixed_point(config, _parse_axes(args.axis))
         elif args.command == "sweep":
             text = cmd_sweep(config, _parse_axes(args.axis))
-        elif args.command == "headline":
+        else:
             text = cmd_headline(config, distance_km=args.distance_km)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
-            return 2
     except (ValueError, ProtocolError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -43,27 +43,12 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
 
-    def link_params(self) -> LinkParams:
-        return LinkParams(
-            l0_km=self.l0_km,
-            attenuation_db_per_km=self.attenuation_db_per_km,
-            p_em=self.p_em,
-            eps_local=self.eps_local,
-            t0_s=self.t0_s,
-            tc_s=self.tc_s,
-        )
-
-    def noise_params(self) -> NoiseParams:
-        return NoiseParams(p=self.p, eta=self.eta, upsilon=self.upsilon)
-
     def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            link=self.link_params(),
-            noise=self.noise_params(),
-            m=self.m,
-            target_span=self.target_span,
-            f0=self.f0,
+        link, noise = (
+            cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+            for cls in (LinkParams, NoiseParams)
         )
+        return ProtocolConfig(link, noise, self.m, self.target_span, f0=self.f0)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -34,9 +34,6 @@ BELL_VECTORS = np.array(
 ) / _SQRT2
 BELL_VECTORS.setflags(write=False)
 
-BELL_LABELS = ("psi_minus", "psi_plus", "phi_plus", "phi_minus")
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Exact complex density matrix on one, two or four qubits.
@@ -62,10 +59,6 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue beyond the floor")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def to_density(state: BellDiagonalState) -> DensityMatrix:
@@ -186,26 +179,6 @@ def noisy_gate(
     mixed = np.kron(rest, np.eye(4, dtype=complex) / 4.0)
     mixed = _reorder_qubits(mixed, list(others) + list(node_qubits), n_qubits)
     return p * ideal + (1.0 - p) * mixed
-
-
-def noisy_measure(rho: np.ndarray, qubit: int, eta: float):
-    """Computational-basis measurement whose classical outcome flips with
-    probability 1-eta.
-
-    Returns ``(probs, post_states)``: the probability of reporting 0 / 1
-    and the corresponding renormalised post-measurement states (None for
-    a zero-probability branch).
-    """
-    n_qubits = int(np.log2(rho.shape[0]))
-    proj = [embed({qubit: _P0}, n_qubits), embed({qubit: _P1}, n_qubits)]
-    branches = [proj[m] @ rho @ proj[m] for m in (0, 1)]
-    probs, posts = [], []
-    for reported in (0, 1):
-        unnorm = eta * branches[reported] + (1.0 - eta) * branches[1 - reported]
-        prob = float(np.trace(unnorm).real)
-        probs.append(prob)
-        posts.append(unnorm / prob if prob > 0.0 else None)
-    return tuple(probs), tuple(posts)
 
 
 def _pair_product(a: BellDiagonalState, b: BellDiagonalState) -> np.ndarray:

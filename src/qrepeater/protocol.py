@@ -27,6 +27,7 @@ from .bell import BellDiagonalState, from_fidelity
 from .channel import (
     LinkParams,
     channel_efficiency,
+    check_sampler_args,
     entangle_success_prob,
     link_state,
 )
@@ -75,6 +76,16 @@ def round_span_up(span: int) -> int:
     return out
 
 
+def pumping_depth(m: int | tuple[int, ...], level: int) -> int:
+    """Pumping depth at a nesting level for one m or a per-level tuple, whose
+    last entry serves every level beyond it; an empty tuple has none."""
+    if isinstance(m, int):
+        return m
+    if not m:
+        raise ValueError(f"per-level m is empty, so level {level} has no pumping depth")
+    return m[min(level, len(m) - 1)]
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything a protocol run needs: the physical link, the local
@@ -112,13 +123,7 @@ class ProtocolConfig:
             raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
 
     def m_at_level(self, level: int) -> int:
-        """Pumping depth at a nesting level; levels beyond a per-level
-        tuple reuse its last entry; an empty tuple has none to reuse."""
-        if isinstance(self.m, int):
-            return self.m
-        if not self.m:
-            raise ValueError(f"per-level m is empty, so level {level} has no pumping depth")
-        return self.m[min(level, len(self.m) - 1)]
+        return pumping_depth(self.m, level)
 
 
 @dataclass(frozen=True)
@@ -313,12 +318,11 @@ def pump(
 @dataclass(frozen=True)
 class Level:
     """One nesting level, built once and read by the analytic result, the
-    fixed-point analysis and the sampler: the input span n, the stored B
-    pair over 2n+1 segments, its C fodder, the acceptance probability of
-    each of the m pump steps, the helper refinement's acceptance (None
-    when there is none) and the purified A output."""
+    fixed-point analysis and the sampler: the stored B pair, its C
+    fodder, the acceptance probability of each of the m pump steps, the
+    helper refinement's acceptance (None when there is none) and the
+    purified A output."""
 
-    input_span: int
     b: PairRecord
     c: PairRecord
     step_probs: tuple[float, ...]
@@ -344,7 +348,7 @@ def ladder(config: ProtocolConfig) -> Iterator[Level]:
             a, step_probs = pump(b, c, config.m_at_level(idx), config, idx)
         except OverflowError as exc:
             raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
-        yield Level(below.span, b, c, step_probs, helper_q, a)
+        yield Level(b, c, step_probs, helper_q, a)
         below2, below = below, a
 
 
@@ -410,9 +414,7 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     the work per trial grows with the product of the per-level restart
     factors; at p = eta = 0.95, m = 4, span 31, 2 trials take over 60 s.
     """
-    for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < low:
-            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    check_sampler_args(seed, trials)
     global np
     if np is None:
         import numpy as np

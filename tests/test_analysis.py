@@ -344,6 +344,13 @@ class TestLadderMatchesFromScratchDefinition:
             assert row["f_inf"] == reference_asymptote(cfg).value
         f_inf = {row["target_span"]: row["f_inf"] for row in table.rows if row["f0"] == 0.98}
         assert f_inf[3] != f_inf[7]
+        # A per-level m is stretched by reusing its last entry and cut to
+        # the new depth; one cut to span 1 is empty and stretches to nothing.
+        assert apply_overrides(base, m=(1, 2), target_span=31).m == (1, 2, 2, 2)
+        assert apply_overrides(base, m=(1, 2), target_span=3).m == (1,)
+        empty = apply_overrides(base, m=(1, 2), target_span=1)
+        for row in sweep(empty, {"target_span": [3, 7]}).rows:
+            assert "per-level m" in row["error"] and row["f_inf"] is None
 
     def test_sweep_repeats_a_failed_asymptote(self):
         # At span 1 the protocol and its fixed point need no pumping, but

@@ -1,6 +1,7 @@
 """Configuration loading, flag precedence and the CSV-emitting commands."""
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -22,6 +23,8 @@ from qrepeater.cli import (
     main,
 )
 from qrepeater.config import RunConfig, load_config, parse_config_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def data_rows(csv_text):
@@ -123,6 +126,13 @@ class TestCmdLink:
 
 
 class TestCmdSimulate:
+    def test_zero_time_link_leaves_time_in_t0_units_empty(self, capsys):
+        assert main(["simulate", "--t0-s", "0", "--tc-s", "0"]) == 0
+        header, rows = data_rows(capsys.readouterr().out)
+        times = [dict(zip(header, row)) for row in rows]
+        assert [t["expected_time_s"] for t in times] == ["0"] * 4
+        assert [t["time_in_t0_units"] for t in times] == [""] * 4
+
     def test_perfect_world_column(self):
         cfg = RunConfig(attenuation_db_per_km=0.0, eps_local=1.0, p=1.0, eta=1.0,
                         target_span=7)
@@ -280,8 +290,12 @@ class TestMainEntry:
         assert a.read_bytes() == b.read_bytes()
 
     def test_console_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "qrepeater.cli", "link"],
+            [sys.executable, "-m", "qrepeater.cli", "link"], env=env,
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
@@ -347,7 +361,7 @@ class TestParameterRegistry:
         assert noise.p == noise.eta == 0.97
 
     def test_readme_ini_example_parses(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text()
         example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         path = tmp_path / "readme.cfg"
         path.write_text(example)

@@ -2,9 +2,10 @@
 for byte.
 
 The SHA-256 digests were recorded from separate ``qrepeater`` processes
-at commit 93441ad (``GOLDEN_SHA256``) and 8825bd1 (``MORE_SHA256`` and
-``HELP_SHA256``, the help with ``COLUMNS=80``); any change to a number,
-its formatting, the header comments or a flag shows up here.
+at commit 93441ad (``GOLDEN_SHA256``), 8825bd1 (``MORE_SHA256`` and
+``HELP_SHA256``, the help with ``COLUMNS=80``) and dd58d26 (the ``link``
+entries of ``MORE_SHA256``); any change to a number, its formatting, the
+header comments or a flag shows up here.
 """
 
 import hashlib
@@ -41,6 +42,11 @@ MORE_SHA256 = {
         "9f84de07a85b80a60696f76163edd1ab70f099e1213036793ce5b9897b40ad41",
     "headline --distance-km 20000 --p 0.995 --eta 0.995 --m 3":
         "df201303c40683543eb32fe9f7c40e2a715028410f9a4178915dc43416011085",
+    # The link report, closed forms alone and with the photon-mode sampler.
+    "link":
+        "ee78d34bb8c8b790ad41fc375cfc2bdaf448882ecfc1bb06ab258d2135a49472",
+    "link --oracle --trials 2000":
+        "7086af32241c863275e974e041518acfd73442c75e8466b748667a3959f701d0",
 }
 
 HELP_SHA256 = {

@@ -13,7 +13,6 @@ from qrepeater.exact import (
     bell_offdiagonal_norm,
     cnot,
     noisy_gate,
-    noisy_measure,
     partial_trace,
     purify_oracle,
     purify_oracle_matrix,
@@ -65,33 +64,6 @@ class TestNoisyGate:
         pair1 = partial_trace(out, (0, 1), 4)
         f = np.real(BELL_VECTORS[0].conj() @ pair1 @ BELL_VECTORS[0])
         assert f == pytest.approx(0.995 + 0.005 * 0.25, abs=TOL)
-
-
-class TestNoisyMeasure:
-    def test_perfect_measurement_of_zero(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        probs, posts = noisy_measure(rho, 0, 1.0)
-        assert probs[0] == pytest.approx(1.0, abs=TOL)
-        assert posts[1] is None
-
-    def test_flip_probability(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        probs, _ = noisy_measure(rho, 0, 0.99)
-        assert probs[0] == pytest.approx(0.99, abs=TOL)
-        assert probs[1] == pytest.approx(0.01, abs=TOL)
-
-    def test_superposition_is_symmetric(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        probs, posts = noisy_measure(plus, 0, 0.95)
-        assert probs[0] == pytest.approx(0.5, abs=TOL)
-        assert probs[1] == pytest.approx(0.5, abs=TOL)
-        # the misreported branch leaves a classical mixture
-        assert posts[0][0, 0].real == pytest.approx(0.95, abs=TOL)
-
-    def test_indexed_qubit_of_two(self):
-        rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |01>
-        probs, _ = noisy_measure(rho, 1, 1.0)
-        assert probs[1] == pytest.approx(1.0, abs=TOL)
 
 
 class TestPurify:

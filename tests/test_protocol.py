@@ -3,7 +3,11 @@ models and the discrete-event sampler."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from qrepeater.protocol import (
 )
 
 TOL = 1e-12
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def chain_phase_only(f, n):
@@ -509,3 +514,23 @@ class TestSamplerMatchesGeometricReference:
         with pytest.raises(ValueError, match=message):
             monte_carlo_time(make_config(span=7), **kwargs)
         assert protocol.np is None
+
+    @pytest.mark.parametrize("kwargs, message", BAD_ARGS.values(), ids=BAD_ARGS)
+    def test_photon_oracle_rejects_the_same_before_numpy(self, kwargs, message):
+        # A fresh interpreter, because numpy once imported stays in sys.modules.
+        code = (
+            "import sys\nfrom qrepeater.channel import photon_mode_oracle\n"
+            f"try:\n    photon_mode_oracle(0.05, 0.5, **{kwargs!r})\n"
+            "except ValueError as exc:\n    print(exc)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        error, numpy_loaded = proc.stdout.splitlines()
+        assert error.startswith(message) and numpy_loaded == "False"
