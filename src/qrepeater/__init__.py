@@ -48,42 +48,8 @@ from .analysis import (
     sweep,
 )
 
-__all__ = [
-    "BellDiagonalState",
-    "FixedPointResult",
-    "LinkParams",
-    "NoiseParams",
-    "PairRecord",
-    "PhotonOracleResult",
-    "ProtocolConfig",
-    "ProtocolError",
-    "ProtocolResult",
-    "PurifyOutcome",
-    "SweepTable",
-    "TimeDistribution",
-    "asymptotic_fidelity",
-    "build_b_pair",
-    "build_c_pair",
-    "channel_efficiency",
-    "connect_chain",
-    "default_schedule",
-    "elementary_pair",
-    "entangle_success_prob",
-    "expected_link_time",
-    "fidelity",
-    "fixed_point_at_distance",
-    "from_fidelity",
-    "initial_fidelity",
-    "link_state",
-    "monte_carlo_time",
-    "p_em_for_fidelity",
-    "photon_mode_oracle",
-    "pump",
-    "purify",
-    "round_span_up",
-    "run_protocol",
-    "swap",
-    "sweep",
-]
+#: Every class and function imported above; the submodules, not being
+#: callable, stay out.
+__all__ = sorted(name for name, value in globals().items() if callable(value) and name[0] != "_")
 
 __version__ = "0.1.0"

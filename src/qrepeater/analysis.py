@@ -10,6 +10,7 @@ computed here by direct iteration of the same maps the protocol uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -82,6 +83,58 @@ def _pumped_fixed_point(
     return FixedPointResult(value, max_iter, False, tol)
 
 
+class _Walk:
+    """One ladder, read level by level: each level and its fixed point are
+    built on first read and kept, and so is an error raised building a
+    level, which every deeper read raises again."""
+
+    def __init__(self, config: ProtocolConfig):
+        self.config = config
+        self._ladder = ladder(config)
+        self._levels: list[Level] = []
+        self._error: ValueError | ProtocolError | None = None
+        self._fixed_points: dict[tuple, FixedPointResult] = {}
+
+    def level(self, index: int) -> Level:
+        while len(self._levels) <= index:
+            if self._error is not None:
+                raise self._error.with_traceback(None)
+            try:
+                self._levels.append(next(self._ladder))
+            except (ValueError, ProtocolError) as exc:
+                self._error = exc
+                raise
+            except StopIteration:
+                # Any other exception closed the generator; walk it again.
+                self._ladder = itertools.islice(ladder(self.config), len(self._levels), None)
+        return self._levels[index]
+
+    def fixed_point(
+        self, index: int, tol: float = FIXED_POINT_TOL, max_iter: int = FIXED_POINT_MAX_ITER
+    ) -> FixedPointResult:
+        key = (index, tol, max_iter)
+        if key not in self._fixed_points:
+            level = self.level(index)
+            self._fixed_points[key] = _pumped_fixed_point(level, self.config.noise, tol, max_iter)
+        return self._fixed_points[key]
+
+    def asymptote(self, tol: float, max_levels: int) -> FixedPointResult:
+        previous = None
+        for depth in range(1, max_levels + 1):
+            fp = self.fixed_point(depth - 1)
+            if fp.value < USEFUL_FIDELITY_FLOOR:
+                return FixedPointResult(fp.value, depth, False, tol)
+            if previous is not None and abs(fp.value - previous) <= tol:
+                return FixedPointResult(fp.value, depth, True, tol)
+            previous = fp.value
+        return FixedPointResult(previous, max_levels, False, tol)
+
+
+#: The last config's walk, kept so that successive calls on one config (as
+#: ``fixed-point`` makes) share it.
+_walk = functools.lru_cache(maxsize=1)(_Walk)
+
+
 def fixed_point_at_distance(
     config: ProtocolConfig,
     span: int,
@@ -103,8 +156,7 @@ def fixed_point_at_distance(
     depth = len(default_schedule(span))
     if depth == 0:
         return FixedPointResult(fidelity(elementary_pair(config).state), 0, True, tol)
-    top = next(itertools.islice(ladder(config), depth - 1, None))
-    return _pumped_fixed_point(top, config.noise, tol, max_iter)
+    return _walk(config).fixed_point(depth - 1, tol, max_iter)
 
 
 def asymptotic_fidelity(
@@ -114,26 +166,18 @@ def asymptotic_fidelity(
 ) -> FixedPointResult:
     """Distance-independent limit of the fixed-point fidelity, found by
     growing the nesting depth until successive fixed points differ by at
-    most ``tol``.  A fixed point falling below 0.5 means entanglement is
-    lost and is reported as not converged."""
-    previous = None
-    # zip stops on the range first, so no level beyond max_levels is built.
-    for depth, level in zip(range(1, max_levels + 1), ladder(config)):
-        fp = _pumped_fixed_point(level, config.noise)
-        if fp.value < USEFUL_FIDELITY_FLOOR:
-            return FixedPointResult(fp.value, depth, False, tol)
-        if previous is not None and abs(fp.value - previous) <= tol:
-            return FixedPointResult(fp.value, depth, True, tol)
-        previous = fp.value
-    return FixedPointResult(previous, max_levels, False, tol)
+    most ``tol``; no level beyond ``max_levels`` is built.  A fixed point
+    falling below 0.5 means entanglement is lost and is reported as not
+    converged."""
+    return _walk(config).asymptote(tol, max_levels)
 
 
 def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedPointResult]]:
     """The purified pair and the fixed point at every schedule prefix
     span, span 1 first, read from one ladder."""
-    levels = itertools.islice(ladder(config), len(config.schedule))
+    walk = _walk(config)
     return [(elementary_pair(config), fixed_point_at_distance(config, 1))] + [
-        (level.a, _pumped_fixed_point(level, config.noise)) for level in levels
+        (walk.level(i).a, walk.fixed_point(i)) for i in range(len(config.schedule))
     ]
 
 
@@ -166,35 +210,31 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
 
 def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTable:
     """Evaluate the protocol, its fixed point and its asymptote on every
-    point of the cartesian grid.  Per-point failures are recorded in the
+    point of the cartesian grid.  Points that differ only in target span
+    share one ladder walk, so each level, its fixed point and the
+    asymptote are built once.  Per-point failures are recorded in the
     row's ``error`` field and the sweep continues."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
     names = list(axes.keys())
     grids = [tuple(axes[name]) for name in names]
     rows = []
-    # The asymptote does not depend on the target span; points that share
-    # everything else share it, a raised error included.
-    asymptotes: dict[tuple, FixedPointResult | ValueError | ProtocolError] = {}
+    walks: dict[tuple, _Walk] = {}
     for point in itertools.product(*grids):
         coords = dict(zip(names, point))
         row = dict(coords)
         try:
             cfg = apply_overrides(base_config, **coords)
-            levels = list(itertools.islice(ladder(cfg), len(cfg.schedule)))
-            if levels:
-                final, fp = levels[-1].a, _pumped_fixed_point(levels[-1], cfg.noise)
+            # The ladder does not depend on the target span (a per-level m
+            # is already stretched to it), so the other four fields key it.
+            key = (cfg.link, cfg.noise, cfg.m, cfg.f0)
+            walk = walks[key] = walks.get(key) or _Walk(cfg)
+            depth = len(cfg.schedule)
+            if depth:
+                final, fp = walk.level(depth - 1).a, walk.fixed_point(depth - 1)
             else:
                 final, fp = elementary_pair(cfg), fixed_point_at_distance(cfg, 1)
-            key = (cfg.link, cfg.noise, cfg.m, cfg.f0)
-            if key not in asymptotes:
-                try:
-                    asymptotes[key] = asymptotic_fidelity(cfg)
-                except (ValueError, ProtocolError) as exc:
-                    asymptotes[key] = exc
-            asym = asymptotes[key]
-            if isinstance(asym, Exception):
-                raise asym
+            asym = walk.asymptote(ASYMPTOTE_TOL, ASYMPTOTE_MAX_LEVELS)
             row.update(
                 fidelity=fidelity(final.state),
                 f_fp=fp.value,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .channel import LinkParams
+from .channel import LinkParams, check_sampler_args
 from .ops import NoiseParams
 from .protocol import ProtocolConfig
 
@@ -108,6 +108,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     config.protocol_config()  # runs the link, noise and protocol checks
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials!r}")
+    check_sampler_args(config.seed, config.trials)
     return config
 
 

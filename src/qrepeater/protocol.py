@@ -171,6 +171,11 @@ def _link_prob_and_unit(config: ProtocolConfig) -> tuple[float, float]:
     prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
     if prob <= 0.0:
         raise ProtocolError("elementary link never succeeds (P = 0)")
+    if 1.0 - prob == 1.0:
+        raise ProtocolError(
+            f"elementary link success probability P = {prob:.3e} is below float"
+            " resolution (1 - P rounds to 1)"
+        )
     return prob, config.link.attempt_duration_s
 
 

@@ -1,7 +1,11 @@
 """Fixed points, the distance asymptote and parameter sweeps."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from qrepeater import analysis, protocol
 from qrepeater.analysis import (
     ASYMPTOTE_MAX_LEVELS,
     ASYMPTOTE_TOL,
@@ -9,9 +13,11 @@ from qrepeater.analysis import (
     FIXED_POINT_TOL,
     USEFUL_FIDELITY_FLOOR,
     FixedPointResult,
+    _pumped_fixed_point,
     apply_overrides,
     asymptotic_fidelity,
     fixed_point_at_distance,
+    prefix_fixed_points,
     sweep,
 )
 from qrepeater.bell import fidelity, from_fidelity
@@ -24,6 +30,7 @@ from qrepeater.protocol import (
     build_b_pair,
     default_schedule,
     elementary_pair,
+    ladder,
     run_protocol,
 )
 
@@ -387,3 +394,167 @@ def test_finite_pumping_can_exceed_the_fixed_point():
     assert fp.converged and values[-1] == fp.value
     assert fp.value == pytest.approx(0.69113, abs=5e-6)
     assert fidelity(result.final.state) > fp.value
+
+
+def per_point_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVELS):
+    """The asymptote loop on a fresh ladder of its own, as each sweep point
+    once ran it."""
+    previous = None
+    for depth, level in zip(range(1, max_levels + 1), ladder(config)):
+        fp = _pumped_fixed_point(level, config.noise)
+        if fp.value < USEFUL_FIDELITY_FLOOR:
+            return FixedPointResult(fp.value, depth, False, tol)
+        if previous is not None and abs(fp.value - previous) <= tol:
+            return FixedPointResult(fp.value, depth, True, tol)
+        previous = fp.value
+    return FixedPointResult(previous, max_levels, False, tol)
+
+
+def per_point_sweep_rows(base, axes):
+    """Sweep rows built point by point, each from fresh ladders and with
+    nothing shared between points."""
+    rows = []
+    for point in itertools.product(*axes.values()):
+        row = dict(zip(axes, point))
+        try:
+            cfg = apply_overrides(base, **row)
+            levels = list(itertools.islice(ladder(cfg), len(cfg.schedule)))
+            if levels:
+                final, fp = levels[-1].a, _pumped_fixed_point(levels[-1], cfg.noise)
+            else:
+                final = elementary_pair(cfg)
+                fp = FixedPointResult(fidelity(final.state), 0, True, FIXED_POINT_TOL)
+            asym = per_point_asymptote(cfg)
+            row.update(
+                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
+                expected_time_s=final.expected_time, error="",
+            )
+        except (ValueError, ProtocolError) as exc:
+            row.update(
+                fidelity=None, f_fp=None, f_inf=None, expected_time_s=None, error=str(exc)
+            )
+        rows.append(row)
+    return tuple(rows)
+
+
+README_AXES = {"f0": [0.96, 0.97, 0.98, 0.99, 1.0], "target_span": [3, 7, 15, 31, 63, 127]}
+
+SHARED_WALK_GRIDS = {
+    "readme": (make_config(), README_AXES),
+    "repeated_and_descending_spans": (
+        make_config(f0=0.98), {"target_span": [15, 3, 15, 1, 7, 3], "f0": [0.97, 0.98]}
+    ),
+    "span_outer_p_eta_inner": (
+        make_config(), {"target_span": [7, 1, 31], "p_eta": [0.995, 0.99], "f0": [0.98]}
+    ),
+    "tuple_m": (
+        make_config(f0=0.98, m=(2, 0), span=7), {"target_span": [1, 3, 7, 15, 3]}
+    ),
+    "tuple_m_axis": (make_config(f0=0.98), {"m": [(1, 3), 2], "target_span": [7, 1, 3]}),
+    "unpurifiable": (unpurifiable_config(3), {"target_span": [1, 3, 7, 1], "m": [0, 3]}),
+    "p_zero_and_tiny_p_links": (
+        make_config(f0=0.98),
+        {"l0_km": [20.0, 1400.0, 1440.0, 1480.0], "target_span": [1, 3, 7]},
+    ),
+    "bad_span": (make_config(f0=0.98), {"target_span": [7, 10, 0, 7]}),
+}
+
+
+class TestSweepSharesOneWalkPerLadder:
+    """Points that differ only in target span read one ladder walk; every
+    row must equal the row built from scratch for that point alone."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_WALK_GRIDS))
+    def test_rows_equal_per_point_reference(self, name):
+        base, axes = SHARED_WALK_GRIDS[name]
+        rows = sweep(base, axes).rows
+        expected = per_point_sweep_rows(base, axes)
+        assert rows == expected
+        assert repr(rows) == repr(expected)
+
+    def test_grids_cover_every_kind_of_error(self):
+        errors = " ".join(
+            row["error"]
+            for base, axes in SHARED_WALK_GRIDS.values()
+            for row in per_point_sweep_rows(base, axes)
+        )
+        for message in (
+            "unpurifiable pump step", "P = 0", "below float resolution", "2^k - 1",
+        ):
+            assert message in errors
+
+    def test_readme_grid_builds_each_level_once(self, monkeypatch):
+        base = make_config()
+        # Each f0's ladder reaches the deeper of span 127's depth (6) and
+        # the depth where its asymptote stops.
+        deepest = {
+            f0: max(6, per_point_asymptote(apply_overrides(base, f0=f0)).iterations)
+            for f0 in README_AXES["f0"]
+        }
+        builds = Counter()
+        real = protocol.build_b_pair
+
+        def counting(a_left, a_right, config):
+            builds[config.f0, a_left.span] += 1
+            return real(a_left, a_right, config)
+
+        monkeypatch.setattr(protocol, "build_b_pair", counting)
+        sweep(base, README_AXES)
+        assert set(builds.values()) == {1}
+        assert Counter(f0 for f0, _ in builds) == Counter(deepest)
+        assert sum(builds.values()) == sum(deepest.values())
+
+    def test_fixed_point_command_walks_one_ladder(self, monkeypatch):
+        cfg = make_config(f0=0.98, span=127)
+        depth = len(cfg.schedule)
+        expected_asymptote = per_point_asymptote(cfg)
+        expected_prefixes = [
+            (elementary_pair(cfg), FixedPointResult(0.98, 0, True, FIXED_POINT_TOL))
+        ] + [
+            (level.a, _pumped_fixed_point(level, cfg.noise))
+            for level in itertools.islice(ladder(cfg), depth)
+        ]
+        builds = Counter()
+        real = protocol.build_b_pair
+
+        def counting(a_left, a_right, config):
+            builds[a_left.span] += 1
+            return real(a_left, a_right, config)
+
+        analysis._walk.cache_clear()
+        monkeypatch.setattr(protocol, "build_b_pair", counting)
+        # A fresh but equal config, as each command resolves its own.
+        cfg = make_config(f0=0.98, span=127)
+        assert asymptotic_fidelity(cfg) == expected_asymptote
+        assert prefix_fixed_points(cfg) == expected_prefixes
+        assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][1]
+        assert set(builds.values()) == {1}
+        assert sum(builds.values()) == max(depth, expected_asymptote.iterations)
+
+    def test_interrupted_level_is_rebuilt_not_lost(self, monkeypatch):
+        # An exception that is not a protocol error closes the ladder's
+        # generator mid-build; the next read walks it again instead of
+        # ending early.
+        cfg = make_config(f0=0.98, span=63)
+        real = protocol.build_c_pair
+        calls = itertools.count()
+
+        def interrupted(inner, config):
+            if next(calls) == 3:
+                raise KeyboardInterrupt
+            return real(inner, config)
+
+        analysis._walk.cache_clear()
+        monkeypatch.setattr(protocol, "build_c_pair", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fixed_point_at_distance(cfg, 63)
+        assert fixed_point_at_distance(cfg, 63) == reference_fixed_point(cfg, 63)
+        assert asymptotic_fidelity(cfg) == reference_asymptote(cfg)
+
+    def test_failed_level_raises_again_for_deeper_levels(self):
+        cfg = unpurifiable_config(3, span=15)
+        first = outcome(fixed_point_at_distance, cfg, 7)
+        assert first[0] == "ProtocolError" and "level 0" in first[1]
+        assert outcome(fixed_point_at_distance, cfg, 15) == first
+        assert outcome(asymptotic_fidelity, cfg) == first
+        assert outcome(prefix_fixed_points, cfg) == first

@@ -95,6 +95,16 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             load_config(None, {name: value})
 
+    def test_negative_seed_rejected_from_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -3\n")
+        with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got -3$"):
+            load_config(path)
+
+    def test_trials_message_kept(self):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+            load_config(None, {"trials": 0})
+
 
 class TestCmdLink:
     def test_closed_form_row(self):
@@ -263,6 +273,34 @@ class TestMainEntry:
     def test_headline_time_overflow_names_the_level(self, distance, capsys):
         assert main(["headline", f"--distance-km={distance}"]) == 2
         assert "expected time overflows a float at level 208" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -3\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert main(["simulate", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be an int >= 0, got -3" in err
+        assert "seed must be an int >= 0, got -1" in err
+
+    @pytest.mark.parametrize(
+        "command, km",
+        [(c, km) for c in ("simulate", "fixed-point") for km in ("1420", "1440", "1460")]
+        # headline's own p_em and eps_local give P = 0 at 1460 km.
+        + [("headline", "1420"), ("headline", "1440")],
+    )
+    def test_link_probability_below_float_resolution(self, command, km, capsys):
+        # 0 < P = 5.55e-17 < eps/2, so 1 - P rounds to 1 and the link's
+        # geometric wait would divide by zero.
+        assert main([command, "--l0-km", km]) == 2
+        assert "P = 5.551e-17 is below float resolution" in capsys.readouterr().err
+
+    def test_sweep_row_below_float_resolution(self, capsys):
+        assert main(["sweep", "--axis", "l0_km=1400,1440", "--target-span", "3"]) == 0
+        header, rows = data_rows(capsys.readouterr().out)
+        errors = [dict(zip(header, row))["error"] for row in rows]
+        assert errors[0] == ""
+        assert "P = 5.551e-17 is below float resolution" in errors[1]
 
     def test_repeated_axis_rejected(self, capsys):
         assert main(["sweep", "--axis", "m=1", "--axis", "m=2"]) == 2

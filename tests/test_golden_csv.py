@@ -3,8 +3,9 @@ for byte.
 
 The SHA-256 digests were recorded from separate ``qrepeater`` processes
 at commit 93441ad (``GOLDEN_SHA256``), 8825bd1 (``MORE_SHA256`` and
-``HELP_SHA256``, the help with ``COLUMNS=80``) and dd58d26 (the ``link``
-entries of ``MORE_SHA256``); any change to a number, its formatting, the
+``HELP_SHA256``, the help with ``COLUMNS=80``), dd58d26 (the ``link``
+entries of ``MORE_SHA256``) and b6d37f0 (the ``fixed-point`` and error-row
+``sweep`` entries of ``MORE_SHA256``, and the 1400 km links); any change to a number, its formatting, the
 header comments or a flag shows up here.
 """
 
@@ -47,6 +48,23 @@ MORE_SHA256 = {
         "ee78d34bb8c8b790ad41fc375cfc2bdaf448882ecfc1bb06ab258d2135a49472",
     "link --oracle --trials 2000":
         "7086af32241c863275e974e041518acfd73442c75e8466b748667a3959f701d0",
+    # Fixed points per prefix span and the asymptote, from one ladder.
+    "fixed-point --target-span 127":
+        "833050f879b5eff7220179b3b2d53a157374f66ed2b3caf761c1e15a9e4a2f1d",
+    # Descending spans down to span 1, all sharing one ladder per f0.
+    "fixed-point --axis f0=0.96,0.97 --axis target_span=7,3,1":
+        "8b08c5e767a232e627cbc2e7e415a67b3e0b5420dab7c2dff60c2c736bc170fc",
+    # Error rows: at f0 = 0 the span-1 rows need no pumping but inherit the
+    # asymptote's unpurifiable level 0.
+    "sweep --axis f0=0,0.98 --axis target_span=1,3,7 --p 1 --eta 1"
+    " --attenuation-db-per-km 0 --p-em 0.1":
+        "870a42e71660853758dc0e7e4ce685d5351718af49160e3a05b4f68f0e75e3db",
+    # The longest links whose success probability P still has 1 - P < 1,
+    # and a P = 0 error row.
+    "simulate --l0-km 1400":
+        "cc9f38902a4b65673add13f4a2d1aff88591a5ca45db5686ef9632c605077e1f",
+    "sweep --axis l0_km=1380,1400,1480 --target-span 3":
+        "523b34ff7860e25bc7182e5caad6d61582d34167bd4b3a655f118945bec6d528",
 }
 
 HELP_SHA256 = {
