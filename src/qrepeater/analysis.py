@@ -212,22 +212,32 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
     """Evaluate the protocol, its fixed point and its asymptote on every
     point of the cartesian grid.  Points that differ only in target span
     share one ladder walk, so each level, its fixed point and the
-    asymptote are built once.  Per-point failures are recorded in the
-    row's ``error`` field and the sweep continues."""
+    asymptote are built once; a walk is dropped after the last point that
+    reads it.  Per-point failures are recorded in the row's ``error``
+    field and the sweep continues."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
     names = list(axes.keys())
     grids = [tuple(axes[name]) for name in names]
-    rows = []
-    walks: dict[tuple, _Walk] = {}
-    for point in itertools.product(*grids):
-        coords = dict(zip(names, point))
-        row = dict(coords)
+    rows = [dict(zip(names, point)) for point in itertools.product(*grids)]
+    configs = []
+    for row in rows:
         try:
-            cfg = apply_overrides(base_config, **coords)
-            # The ladder does not depend on the target span (a per-level m
-            # is already stretched to it), so the other four fields key it.
-            key = (cfg.link, cfg.noise, cfg.m, cfg.f0)
+            configs.append(apply_overrides(base_config, **row))
+        except (ValueError, ProtocolError) as exc:
+            configs.append(exc)
+    # The ladder does not depend on the target span (a per-level m is
+    # already stretched to it), so the other four fields key its walk.
+    keys = [
+        (cfg.link, cfg.noise, cfg.m, cfg.f0) if isinstance(cfg, ProtocolConfig) else None
+        for cfg in configs
+    ]
+    last_use = {key: i for i, key in enumerate(keys)}
+    walks: dict[tuple, _Walk] = {}
+    for i, (row, cfg, key) in enumerate(zip(rows, configs, keys)):
+        try:
+            if key is None:
+                raise cfg
             walk = walks[key] = walks.get(key) or _Walk(cfg)
             depth = len(cfg.schedule)
             if depth:
@@ -236,18 +246,15 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
                 final, fp = elementary_pair(cfg), fixed_point_at_distance(cfg, 1)
             asym = walk.asymptote(ASYMPTOTE_TOL, ASYMPTOTE_MAX_LEVELS)
             row.update(
-                fidelity=fidelity(final.state),
-                f_fp=fp.value,
-                f_inf=asym.value,
-                expected_time_s=final.expected_time,
-                error="",
+                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
+                expected_time_s=final.expected_time, error="",
             )
         except (ValueError, ProtocolError) as exc:
             row.update(
-                fidelity=None, f_fp=None, f_inf=None, expected_time_s=None,
-                error=str(exc),
+                fidelity=None, f_fp=None, f_inf=None, expected_time_s=None, error=str(exc)
             )
-        rows.append(row)
+        if last_use[key] == i:
+            walks.pop(key, None)
     return SweepTable(
         axes=tuple((name, tuple(axes[name])) for name in names),
         rows=tuple(rows),

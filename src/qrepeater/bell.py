@@ -37,7 +37,7 @@ class BellDiagonalState:
         w = (self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus)
         if min(w) < -ATOL or max(w) > 1.0 + ATOL:
             raise ValueError(f"Bell weights must lie in [0, 1], got {self.weights.tolist()}")
-        total = _sum4(w)
+        total = 0.0 + w[0] + w[1] + w[2] + w[3]  # numpy's order
         if not math.isfinite(total):  # a NaN weight passes the range check
             raise ValueError(f"Bell weights must be finite, got {self.weights.tolist()}")
         if abs(total - 1.0) > ATOL:
@@ -47,38 +47,39 @@ class BellDiagonalState:
     def weights(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(
-            [self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus]
-        )
+        return np.array([self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus])
 
     @classmethod
     def from_weights(cls, w) -> "BellDiagonalState":
         """Build a state from a length-4 weight vector, renormalising away
         float round-off (values clipped to [0, 1], sum rescaled to 1).
         A list of four floats, as the kernels pass, is read directly; any
-        other input goes through ``np.asarray``."""
-        if type(w) is not list or list(map(type, w)) != [float] * 4:
+        other input goes through ``np.asarray``.  Nonnegative weights skip
+        the clip: a sum of nonnegative floats never rounds below any of its
+        terms, so each ``x / total`` already lies in [0, 1]."""
+        if type(w) is not list or len(w) != 4 or not (
+            type(w[0]) is type(w[1]) is type(w[2]) is type(w[3]) is float
+        ):
             import numpy as np
 
             w = np.asarray(w, dtype=float)
             if w.shape != (4,):
                 raise ValueError(f"expected 4 Bell weights, got shape {w.shape}")
             w = w.tolist()
-        if min(w) < -ATOL:
+        w0, w1, w2, w3 = w
+        lo = min(w0, w1, w2, w3)
+        if lo < -ATOL:
             raise ValueError(f"Bell weights must be nonnegative, got {w}")
-        total = _sum4(w)
+        total = 0.0 + w0 + w1 + w2 + w3
         if not math.isfinite(total):
             raise ValueError(f"Bell weights and their sum must be finite, got {w}")
         if total <= 0.0:
             raise ValueError("Bell weights sum to zero; state undefined")
-        w = [min(max(x / total, 0.0), 1.0) for x in w]
-        total = _sum4(w)
-        return cls(w[0] / total, w[1] / total, w[2] / total, w[3] / total)
-
-
-def _sum4(w) -> float:
-    """Sum of four weights in numpy's order: left to right from 0.0."""
-    return 0.0 + w[0] + w[1] + w[2] + w[3]
+        w0, w1, w2, w3 = w0 / total, w1 / total, w2 / total, w3 / total
+        if lo < 0.0:
+            w0, w1, w2, w3 = (min(max(x, 0.0), 1.0) for x in (w0, w1, w2, w3))
+        total = 0.0 + w0 + w1 + w2 + w3
+        return cls(w0 / total, w1 / total, w2 / total, w3 / total)
 
 
 def from_fidelity(fidelity: float, upsilon: float) -> BellDiagonalState:

@@ -276,13 +276,13 @@ def main(argv: list[str] | None = None) -> int:
             text = cmd_sweep(config, _parse_axes(args.axis))
         else:
             text = cmd_headline(config, distance_km=args.distance_km)
+        if args.out:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(text)
     except (ValueError, ProtocolError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -9,7 +9,7 @@ agree to 1e-12.
 Index convention throughout: 0=Psi-, 1=Psi+, 2=Phi+, 3=Phi-.  Each Bell
 state carries an (amplitude, phase) bit pair -- Psi-=(1,1), Psi+=(1,0),
 Phi+=(0,0), Phi-=(0,1) -- and local Pauli errors act by XOR on these
-bits, which is what the tables below encode.
+bits, which is what :func:`_xor_convolve` and :func:`swap` spell out.
 """
 
 from __future__ import annotations
@@ -17,24 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .bell import BellDiagonalState, _sum4
+from .bell import BellDiagonalState
 
 #: Threshold below which a purification acceptance probability is treated
 #: as zero and the outcome reported unpurifiable instead of renormalised.
 MIN_SUCCESS_PROB = 1e-15
-
-# (amplitude, phase) bit pair per Bell index.
-_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
-_BIT_INDEX = {bits: k for k, bits in enumerate(_BITS)}
-
-#: XOR-composition table: _XOR[i][j] = index of the Bell label whose bits
-#: are the bitwise XOR of labels i and j.
-_XOR = tuple(
-    tuple(_BIT_INDEX[(a1 ^ a2, z1 ^ z2)] for (a2, z2) in _BITS) for (a1, z1) in _BITS
-)
-
-_Y_INDEX = _BIT_INDEX[(1, 1)]  # a Y error flips both bits
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -75,16 +62,15 @@ def _xor_convolve(u, v) -> tuple:
     """Convolution of two Bell-weight vectors under bitwise-XOR label
     composition: the output distribution of stacking two independent
     Pauli-frame errors.  Output k adds u[i] * v[j] over the i with
-    _XOR[i][j] = k, in i order from 0.0."""
-    return tuple(
-        0.0 + u[0] * v[_XOR[0][k]] + u[1] * v[_XOR[1][k]] + u[2] * v[_XOR[2][k]]
-        + u[3] * v[_XOR[3][k]]
-        for k in range(4)
+    label(i) XOR label(j) = label(k), in i order from 0.0."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return (
+        0.0 + u0 * v2 + u1 * v3 + u2 * v0 + u3 * v1,
+        0.0 + u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0,
+        0.0 + u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3,
+        0.0 + u0 * v1 + u1 * v0 + u2 * v3 + u3 * v2,
     )
-
-
-def _fields(state: BellDiagonalState) -> tuple:
-    return state.w_psi_minus, state.w_psi_plus, state.w_phi_plus, state.w_phi_minus
 
 
 def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> PurifyOutcome:
@@ -100,25 +86,24 @@ def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Pu
     Returns the conditioned surviving state and the total acceptance
     probability over both accepting outcome patterns.
     """
-    a0, a1, a2, a3 = _fields(a)
-    b0, b1, b2, b3 = _fields(b)
-    # Components whose true measurement parities agree / disagree, after
-    # the frame correction.  Parity classes are {Psi-, Phi+} and {Psi+, Phi-}.
-    same = (a0 * b0 + a2 * b2, a0 * b2 + a2 * b0, a1 * b3 + a3 * b1, a1 * b1 + a3 * b3)
-    cross = (a0 * b3 + a2 * b1, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b2 + a3 * b0)
+    a0, a1, a2, a3 = a.w_psi_minus, a.w_psi_plus, a.w_phi_plus, a.w_phi_minus
+    b0, b1, b2, b3 = b.w_psi_minus, b.w_psi_plus, b.w_phi_plus, b.w_phi_minus
     p2 = noise.p**2
     eta = noise.eta
     g_same = eta**2 + (1.0 - eta) ** 2  # reported-equal given true-equal
     g_cross = 2.0 * eta * (1.0 - eta)   # reported-equal given true-unequal
     floor = (1.0 - p2) / 8.0
-    unnorm = [p2 * (g_same * s + g_cross * c) + floor for s, c in zip(same, cross)]
-    success = min(_sum4(unnorm), 1.0)  # clamp float round-off
+    # Components whose true measurement parities agree (g_same) / disagree
+    # (g_cross) after the frame correction; classes {Psi-, Phi+}, {Psi+, Phi-}.
+    u0 = p2 * (g_same * (a0 * b0 + a2 * b2) + g_cross * (a0 * b3 + a2 * b1)) + floor
+    u1 = p2 * (g_same * (a0 * b2 + a2 * b0) + g_cross * (a0 * b1 + a2 * b3)) + floor
+    u2 = p2 * (g_same * (a1 * b3 + a3 * b1) + g_cross * (a1 * b0 + a3 * b2)) + floor
+    u3 = p2 * (g_same * (a1 * b1 + a3 * b3) + g_cross * (a1 * b2 + a3 * b0)) + floor
+    success = min(0.0 + u0 + u1 + u2 + u3, 1.0)  # clamp float round-off
     if success < MIN_SUCCESS_PROB:
         return PurifyOutcome(state=None, success_prob=success)
-    return PurifyOutcome(
-        state=BellDiagonalState.from_weights([u / success for u in unnorm]),
-        success_prob=success,
-    )
+    weights = [u0 / success, u1 / success, u2 / success, u3 / success]
+    return PurifyOutcome(state=BellDiagonalState.from_weights(weights), success_prob=success)
 
 
 def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> BellDiagonalState:
@@ -131,14 +116,21 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
     an extra X / Z error convolved onto the result.
     """
     eta, p = noise.eta, noise.p
-    meas_err = [
-        (1.0 - eta if ea else eta) * (1.0 - eta if ez else eta) for ea, ez in _BITS
-    ]
-    ideal = _xor_convolve(_xor_convolve(_fields(a), _fields(b)), meas_err)
+    flip = 1.0 - eta
+    errors = _xor_convolve(
+        (a.w_psi_minus, a.w_psi_plus, a.w_phi_plus, a.w_phi_minus),
+        (b.w_psi_minus, b.w_psi_plus, b.w_phi_plus, b.w_phi_minus),
+    )
+    # Measurement errors: both outcome bits flipped (Psi-), the amplitude
+    # bit only, neither, the phase bit only.
+    i0, i1, i2, i3 = _xor_convolve(errors, (flip * flip, flip * eta, eta * eta, eta * flip))
     # The outcome-bit frame leaves two perfect singlets on Phi+; the fixed
-    # correction includes a Y that moves the target back to Psi-.
+    # correction includes a Y (Psi- <-> Phi+, Psi+ <-> Phi-) that moves the
+    # target back to Psi-.
     floor = (1.0 - p) / 4.0
-    return BellDiagonalState.from_weights([p * ideal[k] + floor for k in _XOR[_Y_INDEX]])
+    return BellDiagonalState.from_weights(
+        [p * i2 + floor, p * i3 + floor, p * i0 + floor, p * i1 + floor]
+    )
 
 
 def connect_chain(pairs, noise: NoiseParams) -> BellDiagonalState:

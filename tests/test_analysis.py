@@ -1,6 +1,7 @@
 """Fixed points, the distance asymptote and parameter sweeps."""
 
 import itertools
+import weakref
 from collections import Counter
 
 import pytest
@@ -438,9 +439,13 @@ def per_point_sweep_rows(base, axes):
 
 
 README_AXES = {"f0": [0.96, 0.97, 0.98, 0.99, 1.0], "target_span": [3, 7, 15, 31, 63, 127]}
+#: The README grid with the span axis outermost: every f0's walk is read
+#: again at every span.
+README_AXES_SPANS_FIRST = {"target_span": README_AXES["target_span"], "f0": README_AXES["f0"]}
 
 SHARED_WALK_GRIDS = {
     "readme": (make_config(), README_AXES),
+    "readme_spans_first": (make_config(), README_AXES_SPANS_FIRST),
     "repeated_and_descending_spans": (
         make_config(f0=0.98), {"target_span": [15, 3, 15, 1, 7, 3], "f0": [0.97, 0.98]}
     ),
@@ -483,7 +488,8 @@ class TestSweepSharesOneWalkPerLadder:
         ):
             assert message in errors
 
-    def test_readme_grid_builds_each_level_once(self, monkeypatch):
+    @staticmethod
+    def assert_builds_each_level_once(monkeypatch, axes):
         base = make_config()
         # Each f0's ladder reaches the deeper of span 127's depth (6) and
         # the depth where its asymptote stops.
@@ -499,10 +505,35 @@ class TestSweepSharesOneWalkPerLadder:
             return real(a_left, a_right, config)
 
         monkeypatch.setattr(protocol, "build_b_pair", counting)
-        sweep(base, README_AXES)
+        sweep(base, axes)
         assert set(builds.values()) == {1}
         assert Counter(f0 for f0, _ in builds) == Counter(deepest)
         assert sum(builds.values()) == sum(deepest.values())
+
+    def test_readme_grid_builds_each_level_once(self, monkeypatch):
+        self.assert_builds_each_level_once(monkeypatch, README_AXES)
+
+    def test_interleaved_grid_builds_each_level_once(self, monkeypatch):
+        # A walk is kept while any later point still reads its key.
+        self.assert_builds_each_level_once(monkeypatch, README_AXES_SPANS_FIRST)
+
+    def test_walk_released_after_its_last_point(self, monkeypatch):
+        made = []
+
+        class TrackedWalk(analysis._Walk):
+            def __init__(self, config):
+                super().__init__(config)
+                made.append(weakref.ref(self))
+
+            def asymptote(self, tol, max_levels):
+                # Every earlier f0's points are done, so its walk is gone.
+                assert [ref() is None for ref in made] == [True] * (len(made) - 1) + [False]
+                return super().asymptote(tol, max_levels)
+
+        monkeypatch.setattr(analysis, "_Walk", TrackedWalk)
+        sweep(make_config(), README_AXES)
+        assert len(made) == len(README_AXES["f0"])
+        assert all(ref() is None for ref in made)
 
     def test_fixed_point_command_walks_one_ladder(self, monkeypatch):
         cfg = make_config(f0=0.98, span=127)

@@ -320,6 +320,15 @@ class TestMainEntry:
         assert text.startswith("# qrepeater link\n")
         assert "efficiency,success_prob" in text
 
+    def test_unwritable_out_is_an_error_line(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        assert main(["headline", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out_path.parent.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--target-span", "7", "--f0", "0.98", "--seed", "7"]

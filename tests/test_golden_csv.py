@@ -4,9 +4,10 @@ for byte.
 The SHA-256 digests were recorded from separate ``qrepeater`` processes
 at commit 93441ad (``GOLDEN_SHA256``), 8825bd1 (``MORE_SHA256`` and
 ``HELP_SHA256``, the help with ``COLUMNS=80``), dd58d26 (the ``link``
-entries of ``MORE_SHA256``) and b6d37f0 (the ``fixed-point`` and error-row
-``sweep`` entries of ``MORE_SHA256``, and the 1400 km links); any change to a number, its formatting, the
-header comments or a flag shows up here.
+entries of ``MORE_SHA256``), b6d37f0 (the ``fixed-point`` and error-row
+``sweep`` entries of ``MORE_SHA256``, and the 1400 km links) and 9441862
+(the noisy-gate grids of ``MORE_SHA256``); any change to a number, its
+formatting, the header comments or a flag shows up here.
 """
 
 import hashlib
@@ -65,6 +66,12 @@ MORE_SHA256 = {
         "cc9f38902a4b65673add13f4a2d1aff88591a5ca45db5686ef9632c605077e1f",
     "sweep --axis l0_km=1380,1400,1480 --target-span 3":
         "523b34ff7860e25bc7182e5caad6d61582d34167bd4b3a655f118945bec6d528",
+    # Noisy gates and measurements (p, eta < 1, upsilon > 0) through the
+    # purify and swap kernels.
+    "fixed-point --axis p_eta=0.97,0.99,0.993,0.995,0.997 --axis upsilon=0,0.15,0.3,0.45":
+        "6ae42053c80f48a527fd155e04bdccbb85a6052c125d3f4a37760040ea3b56cc",
+    "sweep --axis m=0,1,2,3,4,5 --axis p_eta=0.98,0.99,0.995,1.0 --target-span 63":
+        "22640ba6d74d26cc136f56faca20073803331bc1118de163010397b594e3ecf7",
 }
 
 HELP_SHA256 = {

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qrepeater.bell import ATOL, BellDiagonalState, fidelity, from_fidelity
 from qrepeater.exact import (
@@ -20,7 +20,14 @@ from qrepeater.exact import (
     swap_oracle_matrix,
     to_density,
 )
-from qrepeater.ops import MIN_SUCCESS_PROB, NoiseParams, connect_chain, purify, swap
+from qrepeater.ops import (
+    MIN_SUCCESS_PROB,
+    NoiseParams,
+    _xor_convolve,
+    connect_chain,
+    purify,
+    swap,
+)
 
 TOL = 1e-12
 
@@ -392,7 +399,71 @@ MALFORMED_WEIGHTS = {
 }
 
 
+@st.composite
+def edge_states(draw):
+    """States built directly, bypassing from_weights: at least one weight is
+    +0.0, -0.0 or a small negative in [-1e-12, 0), which the constructor
+    accepts and which sends the kernels' from_weights down its clip branch."""
+    edges = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(min_value=-1e-12, max_value=0.0, exclude_max=True),
+        ),
+        min_size=1, max_size=3,
+    ))
+    rest = draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1.0), min_size=4 - len(edges), max_size=4 - len(edges)
+    ))
+    scale = (1.0 - sum(edges)) / sum(rest)
+    weights = draw(st.permutations(edges + [x * scale for x in rest]))
+    try:
+        return BellDiagonalState(*weights)
+    except ValueError:
+        assume(False)
+
+
+#: Fixed edge cases of the above, so every run sees both signs of zero and
+#: a negative weight where a product keeps it negative.
+EDGE_STATES = [
+    BellDiagonalState(1.0, 0.0, -0.0, 0.0),
+    BellDiagonalState(1.0, -0.0, -0.0, -0.0),
+    BellDiagonalState(0.5, 0.5, -0.0, 0.0),
+    BellDiagonalState(1.0, 0.0, -1e-13, 1e-13),
+    BellDiagonalState(0.9, 0.1 + 5e-13, -5e-13, 0.0),
+    BellDiagonalState(-1e-12, 0.5, 0.5 + 1e-12, 0.0),
+]
+
+kernel_states = st.one_of(bell_states(), edge_states(), st.sampled_from(EDGE_STATES))
+
+
+def kernel_outcome(kernel, *args):
+    """Weight bits of a kernel's state, with the acceptance probability for
+    purify, or the type and message of the error it raised."""
+    try:
+        out = kernel(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):  # the reference purify
+        return bits(out[0]), out[1]
+    if hasattr(out, "success_prob"):
+        return bits(out.state), out.success_prob
+    return bits(out)
+
+
 class TestKernelsMatchNumpyReference:
+    @given(
+        u=st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
+        v=st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
+    )
+    def test_xor_convolve_sums_in_i_order(self, u, v):
+        expected = []
+        for k in range(4):
+            total = 0.0
+            for i in range(4):
+                total += u[i] * v[_REF_XOR[i][k]]
+            expected.append(total.hex())
+        assert [x.hex() for x in _xor_convolve(u, v)] == expected
+
     @given(w=raw_weights())
     def test_from_weights(self, w):
         try:
@@ -420,18 +491,25 @@ class TestKernelsMatchNumpyReference:
         expected = from_weights_outcome(reference_from_weights, make())
         assert from_weights_outcome(BellDiagonalState.from_weights, make()) == expected
 
-    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    @given(a=kernel_states, b=kernel_states, p=reliabilities, eta=reliabilities)
     def test_purify(self, a, b, p, eta):
         noise = NoiseParams(p, eta)
-        state, success = reference_purify(a, b, noise)
-        out = purify(a, b, noise)
-        assert out.success_prob == success
-        assert bits(out.state) == bits(state)
+        expected = kernel_outcome(reference_purify, a, b, noise)
+        assert kernel_outcome(purify, a, b, noise) == expected
 
-    @given(a=bell_states(), b=bell_states(), p=reliabilities, eta=reliabilities)
+    @given(a=kernel_states, b=kernel_states, p=reliabilities, eta=reliabilities)
     def test_swap(self, a, b, p, eta):
         noise = NoiseParams(p, eta)
-        assert bits(swap(a, b, noise)) == bits(reference_swap(a, b, noise))
+        assert kernel_outcome(swap, a, b, noise) == kernel_outcome(reference_swap, a, b, noise)
+
+    @pytest.mark.parametrize("p", [1.0, 0.97])
+    @pytest.mark.parametrize("a", EDGE_STATES)
+    def test_edge_states_take_both_branches(self, a, p):
+        noise = NoiseParams(p, 1.0)
+        for b in EDGE_STATES:
+            expected = kernel_outcome(reference_purify, a, b, noise)
+            assert kernel_outcome(purify, a, b, noise) == expected
+            assert kernel_outcome(swap, a, b, noise) == kernel_outcome(reference_swap, a, b, noise)
 
     @pytest.mark.parametrize("p", [1.0, 0.999, 0.995, 0.97])
     @pytest.mark.parametrize("f0", [1.0, 0.98, 0.9])
