@@ -5,7 +5,9 @@ gates and measurements err: the gain per round shrinks until it balances
 the noise injected by the round itself, and the fidelity stalls at a
 fixed point that depends on the distance.  Across nesting levels those
 fixed points approach a distance-independent asymptote.  Both limits are
-computed here by direct iteration of the same maps the protocol uses.
+computed here by direct iteration of the same maps the protocol uses,
+reading the levels of one :class:`~qrepeater.protocol.Ladder` per config
+that also keeps the fixed point at each depth.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from .bell import fidelity
 from .channel import LinkParams
 from .ops import NoiseParams, purify
 from .protocol import (
+    Ladder,
     Level,
     PairRecord,
     ProtocolConfig,
     ProtocolError,
     default_schedule,
-    elementary_pair,
-    ladder,
     pumping_depth,
 )
 
@@ -56,72 +57,51 @@ class SweepTable:
     rows: tuple[dict, ...]
 
 
-def _pumped_fixed_point(
-    level: Level,
-    noise: NoiseParams,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-) -> FixedPointResult:
+def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
     """Pump the level's stored B pair with its C fodder until two
-    successive rounds each move the fidelity by at most ``tol``."""
+    successive rounds each move the fidelity by at most FIXED_POINT_TOL."""
     state = level.b.state
     value = fidelity(state)
     small_steps = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         outcome = purify(state, level.c.state, noise)
         if not outcome.purifiable:
-            return FixedPointResult(value, iteration, False, tol)
+            return FixedPointResult(value, iteration, False, FIXED_POINT_TOL)
         state = outcome.state
         new_value = fidelity(state)
         delta = abs(new_value - value)
         value = new_value
         # The pumping map alternates error types between rounds, so one
         # small step can be a zero-gain parity step; require two in a row.
-        small_steps = small_steps + 1 if delta <= tol else 0
+        small_steps = small_steps + 1 if delta <= FIXED_POINT_TOL else 0
         if small_steps >= 2:
-            return FixedPointResult(value, iteration, True, tol)
-    return FixedPointResult(value, max_iter, False, tol)
+            return FixedPointResult(value, iteration, True, FIXED_POINT_TOL)
+    return FixedPointResult(value, FIXED_POINT_MAX_ITER, False, FIXED_POINT_TOL)
 
 
-class _Walk:
-    """One ladder, read level by level: each level and its fixed point are
-    built on first read and kept, and so is an error raised building a
-    level, which every deeper read raises again."""
+class _Walk(Ladder):
+    """A ladder that also keeps the fixed point at each depth, computed on
+    first read (depth 0 is the elementary fidelity), and finds the
+    asymptote from them."""
 
     def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self._ladder = ladder(config)
-        self._levels: list[Level] = []
-        self._error: ValueError | ProtocolError | None = None
-        self._fixed_points: dict[tuple, FixedPointResult] = {}
+        super().__init__(config)
+        self._fixed_points: dict[int, FixedPointResult] = {}
 
-    def level(self, index: int) -> Level:
-        while len(self._levels) <= index:
-            if self._error is not None:
-                raise self._error.with_traceback(None)
-            try:
-                self._levels.append(next(self._ladder))
-            except (ValueError, ProtocolError) as exc:
-                self._error = exc
-                raise
-            except StopIteration:
-                # Any other exception closed the generator; walk it again.
-                self._ladder = itertools.islice(ladder(self.config), len(self._levels), None)
-        return self._levels[index]
-
-    def fixed_point(
-        self, index: int, tol: float = FIXED_POINT_TOL, max_iter: int = FIXED_POINT_MAX_ITER
-    ) -> FixedPointResult:
-        key = (index, tol, max_iter)
-        if key not in self._fixed_points:
-            level = self.level(index)
-            self._fixed_points[key] = _pumped_fixed_point(level, self.config.noise, tol, max_iter)
-        return self._fixed_points[key]
+    def fixed_point(self, depth: int) -> FixedPointResult:
+        if depth not in self._fixed_points:
+            pair = self.pair(depth)
+            self._fixed_points[depth] = (
+                _pumped_fixed_point(self.levels[depth - 1], self.config.noise)
+                if depth
+                else FixedPointResult(fidelity(pair.state), 0, True, FIXED_POINT_TOL)
+            )
+        return self._fixed_points[depth]
 
     def asymptote(self, tol: float, max_levels: int) -> FixedPointResult:
         previous = None
         for depth in range(1, max_levels + 1):
-            fp = self.fixed_point(depth - 1)
+            fp = self.fixed_point(depth)
             if fp.value < USEFUL_FIDELITY_FLOOR:
                 return FixedPointResult(fp.value, depth, False, tol)
             if previous is not None and abs(fp.value - previous) <= tol:
@@ -135,16 +115,11 @@ class _Walk:
 _walk = functools.lru_cache(maxsize=1)(_Walk)
 
 
-def fixed_point_at_distance(
-    config: ProtocolConfig,
-    span: int,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-) -> FixedPointResult:
+def fixed_point_at_distance(config: ProtocolConfig, span: int) -> FixedPointResult:
     """Limiting fidelity of pumping without bound at the top nesting
     level for the given span; the levels below run with the configured m
     (a per-level tuple shorter than the span's depth reuses its last
-    entry).
+    entry).  At span 1 nothing is pumped and it is the elementary fidelity.
 
     F_FP is the limit of unbounded pumping, not an upper bound on finite
     pumping: the fodder C is worse than the stored pair, so in noisy
@@ -153,10 +128,7 @@ def fixed_point_at_distance(
     pumps give 0.69411, and further rounds lower it monotonically to the
     fixed point 0.69113.
     """
-    depth = len(default_schedule(span))
-    if depth == 0:
-        return FixedPointResult(fidelity(elementary_pair(config).state), 0, True, tol)
-    return _walk(config).fixed_point(depth - 1, tol, max_iter)
+    return _walk(config).fixed_point(len(default_schedule(span)))
 
 
 def asymptotic_fidelity(
@@ -176,9 +148,7 @@ def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedP
     """The purified pair and the fixed point at every schedule prefix
     span, span 1 first, read from one ladder."""
     walk = _walk(config)
-    return [(elementary_pair(config), fixed_point_at_distance(config, 1))] + [
-        (walk.level(i).a, walk.fixed_point(i)) for i in range(len(config.schedule))
-    ]
+    return [(walk.pair(d), walk.fixed_point(d)) for d in range(len(config.schedule) + 1)]
 
 
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
@@ -225,7 +195,7 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
         try:
             configs.append(apply_overrides(base_config, **row))
         except (ValueError, ProtocolError) as exc:
-            configs.append(exc)
+            configs.append(str(exc))  # not exc: its traceback holds this frame
     # The ladder does not depend on the target span (a per-level m is
     # already stretched to it), so the other four fields key its walk.
     keys = [
@@ -237,13 +207,10 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
     for i, (row, cfg, key) in enumerate(zip(rows, configs, keys)):
         try:
             if key is None:
-                raise cfg
+                raise ValueError(cfg)
             walk = walks[key] = walks.get(key) or _Walk(cfg)
             depth = len(cfg.schedule)
-            if depth:
-                final, fp = walk.level(depth - 1).a, walk.fixed_point(depth - 1)
-            else:
-                final, fp = elementary_pair(cfg), fixed_point_at_distance(cfg, 1)
+            final, fp = walk.pair(depth), walk.fixed_point(depth)
             asym = walk.asymptote(ASYMPTOTE_TOL, ASYMPTOTE_MAX_LEVELS)
             row.update(
                 fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,

@@ -16,13 +16,9 @@ import csv
 import io
 import math
 import sys
+from dataclasses import replace
 
-from .analysis import (
-    apply_overrides,
-    asymptotic_fidelity,
-    prefix_fixed_points,
-    sweep,
-)
+from .analysis import asymptotic_fidelity, prefix_fixed_points, sweep
 from .bell import fidelity
 from .channel import (
     channel_efficiency,
@@ -97,9 +93,11 @@ def cmd_simulate(config: RunConfig) -> str:
     """Fidelity, fixed point and expected time at every prefix span up to
     the target; ``time_in_t0_units`` is empty for zero-time links."""
     pcfg = config.protocol_config()
+    # The ladder first, so a P = 0 link fails with its message, as in every command.
+    prefixes = prefix_fixed_points(pcfg)
     t_link = expected_link_time(pcfg.link)
     rows = []
-    for pair, fp in prefix_fixed_points(pcfg):
+    for pair, fp in prefixes:
         t, fid = pair.expected_time, fidelity(pair.state)
         units = t / t_link if t_link else None
         rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
@@ -144,7 +142,7 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     if not 0.0 < distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
     span = round_span_up(math.ceil(distance_km / config.l0_km))
-    pcfg = apply_overrides(config.protocol_config(), target_span=span)
+    pcfg = replace(config, target_span=span).protocol_config()
     eps = channel_efficiency(pcfg.link)
     result = run_protocol(pcfg)
     fid = fidelity(result.final.state)

@@ -7,7 +7,9 @@ built same-span C pairs; the survivor is the level's purified A pair.
 C pairs bridge 2n+1 segments with three elementary links and two pairs
 of span n-1, each swapped together from pairs one level further down and
 tightened by a single purification round; no node ever needs more than
-two qubits.
+two qubits.  One :class:`Ladder` per config builds the levels, each once
+and only when read; :func:`run_protocol`, the sampler and the
+fixed-point analysis all read it.
 
 Fidelity bookkeeping is deterministic (conditioned on every purification
 accepting); the time bookkeeping propagates the first two moments of the
@@ -18,10 +20,8 @@ Carlo sampler of the same process.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .bell import BellDiagonalState, from_fidelity
 from .channel import (
@@ -121,9 +121,6 @@ class ProtocolConfig:
                 raise ValueError(f"per-level m entries must be >= 0, got {ms!r}")
         if self.f0 is not None and not 0.0 <= self.f0 <= 1.0:
             raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
-
-    def m_at_level(self, level: int) -> int:
-        return pumping_depth(self.m, level)
 
 
 @dataclass(frozen=True)
@@ -335,42 +332,50 @@ class Level:
     a: PairRecord
 
 
-def ladder(config: ProtocolConfig) -> Iterator[Level]:
-    """Nesting levels over input spans 1, 3, 7, ..., built bottom-up one
-    at a time from the two levels below, without end; level i pumps
-    ``config.m_at_level(i)`` times.  An unpurifiable pump, or a time
-    model that overflows, raises :class:`ProtocolError` when its level
-    is reached."""
-    below2, below = None, elementary_pair(config)
-    for idx in itertools.count():
-        try:
-            b = build_b_pair(below, below, config)
-            if below2 is None:
-                helper, helper_q = None, None
-            else:
-                helper, helper_q = _helper_pair(below2, config)
-            c = build_c_pair(helper, config)
-            a, step_probs = pump(b, c, config.m_at_level(idx), config, idx)
-        except OverflowError as exc:
-            raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
-        yield Level(b, c, step_probs, helper_q, a)
-        below2, below = below, a
+class Ladder:
+    """The nesting levels of one config, built bottom-up in order and only
+    when a read needs them: level i stores a B pair from two copies of
+    level i-1's A pair (level -1 is one elementary link), pumps it
+    ``pumping_depth(config.m, i)`` times with C fodder from helpers at
+    level i-2, and is appended to ``levels`` once it is complete.  Nothing
+    is kept from a failed build: an unpurifiable pump, or a time model that
+    overflows, raises :class:`ProtocolError` on every read that reaches its
+    level, since a build is deterministic."""
 
+    def __init__(self, config: ProtocolConfig):
+        self.config = config
+        self.levels: list[Level] = []
 
-def _build_levels(config: ProtocolConfig) -> list[Level]:
-    """The ladder up to the configured target span."""
-    return list(itertools.islice(ladder(config), len(config.schedule)))
+    @functools.cached_property
+    def _elementary(self) -> PairRecord:
+        return elementary_pair(self.config)
+
+    def pair(self, depth: int) -> PairRecord:
+        """The A pair over span 2^depth - 1; depth 0 is the elementary pair."""
+        config, levels = self.config, self.levels
+        while len(levels) < depth:
+            idx = len(levels)
+            below = self.pair(idx)
+            try:
+                b = build_b_pair(below, below, config)
+                helper, helper_q = _helper_pair(self.pair(idx - 1), config) if idx else (None, None)
+                c = build_c_pair(helper, config)
+                a, step_probs = pump(b, c, pumping_depth(config.m, idx), config, idx)
+            except OverflowError as exc:
+                raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
+            levels.append(Level(b, c, step_probs, helper_q, a))
+        return levels[depth - 1].a if depth else self._elementary
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run the nested scheme across the whole schedule and return the
     final pair, the per-level A-pair snapshots and the total expected
     time."""
-    levels = _build_levels(config)
-    final = levels[-1].a if levels else elementary_pair(config)
+    ladder = Ladder(config)
+    final = ladder.pair(len(config.schedule))
     return ProtocolResult(
         final=final,
-        per_level=tuple(level.a for level in levels),
+        per_level=tuple(level.a for level in ladder.levels),
         total_expected_time=final.expected_time,
     )
 
@@ -426,7 +431,10 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     prob, unit = _link_prob_and_unit(config)
     # 0-d arrays: numpy converts a Python float operand on every call.
     rate, unit, tc = map(np.array, (-math.log1p(-prob), unit, config.link.tc_s))
-    levels = _build_levels(config)
+    ladder = Ladder(config)
+    top = len(config.schedule)
+    ladder.pair(top)
+    levels = ladder.levels
     rng = np.random.default_rng(seed)
     sample_links = functools.partial(_link_maxima, rng, rate, unit)
 
@@ -485,7 +493,7 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
         helper = (sample_swapped, sample_swapped, level - 2, (levels[level].helper_q,), count)
         return race(restarting(*helper), restarting(*helper), sample_links(count, 3))
 
-    samples = sample_level(len(levels) - 1, trials)
+    samples = sample_level(top - 1, trials)
     qs = (0.5, 0.9, 0.99)
     quantiles = {q: float(np.quantile(samples, q)) for q in qs}
     return TimeDistribution(

@@ -1,5 +1,6 @@
 """Fixed points, the distance asymptote and parameter sweeps."""
 
+import gc
 import itertools
 import weakref
 from collections import Counter
@@ -26,12 +27,12 @@ from qrepeater.channel import LinkParams
 from qrepeater.config import load_config
 from qrepeater.ops import NoiseParams, connect_chain, purify, swap
 from qrepeater.protocol import (
+    Ladder,
     ProtocolConfig,
     ProtocolError,
     build_b_pair,
     default_schedule,
     elementary_pair,
-    ladder,
     run_protocol,
 )
 
@@ -401,8 +402,10 @@ def per_point_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVE
     """The asymptote loop on a fresh ladder of its own, as each sweep point
     once ran it."""
     previous = None
-    for depth, level in zip(range(1, max_levels + 1), ladder(config)):
-        fp = _pumped_fixed_point(level, config.noise)
+    ladder = Ladder(config)
+    for depth in range(1, max_levels + 1):
+        ladder.pair(depth)
+        fp = _pumped_fixed_point(ladder.levels[depth - 1], config.noise)
         if fp.value < USEFUL_FIDELITY_FLOOR:
             return FixedPointResult(fp.value, depth, False, tol)
         if previous is not None and abs(fp.value - previous) <= tol:
@@ -419,11 +422,11 @@ def per_point_sweep_rows(base, axes):
         row = dict(zip(axes, point))
         try:
             cfg = apply_overrides(base, **row)
-            levels = list(itertools.islice(ladder(cfg), len(cfg.schedule)))
-            if levels:
-                final, fp = levels[-1].a, _pumped_fixed_point(levels[-1], cfg.noise)
+            ladder = Ladder(cfg)
+            final = ladder.pair(len(cfg.schedule))
+            if ladder.levels:
+                fp = _pumped_fixed_point(ladder.levels[-1], cfg.noise)
             else:
-                final = elementary_pair(cfg)
                 fp = FixedPointResult(fidelity(final.state), 0, True, FIXED_POINT_TOL)
             asym = per_point_asymptote(cfg)
             row.update(
@@ -539,12 +542,11 @@ class TestSweepSharesOneWalkPerLadder:
         cfg = make_config(f0=0.98, span=127)
         depth = len(cfg.schedule)
         expected_asymptote = per_point_asymptote(cfg)
+        ladder = Ladder(cfg)
+        ladder.pair(depth)
         expected_prefixes = [
             (elementary_pair(cfg), FixedPointResult(0.98, 0, True, FIXED_POINT_TOL))
-        ] + [
-            (level.a, _pumped_fixed_point(level, cfg.noise))
-            for level in itertools.islice(ladder(cfg), depth)
-        ]
+        ] + [(level.a, _pumped_fixed_point(level, cfg.noise)) for level in ladder.levels]
         builds = Counter()
         real = protocol.build_b_pair
 
@@ -556,6 +558,9 @@ class TestSweepSharesOneWalkPerLadder:
         monkeypatch.setattr(protocol, "build_b_pair", counting)
         # A fresh but equal config, as each command resolves its own.
         cfg = make_config(f0=0.98, span=127)
+        # Span 1 reads the elementary pair and builds no level.
+        assert fixed_point_at_distance(cfg, 1) == expected_prefixes[0][1]
+        assert not builds
         assert asymptotic_fidelity(cfg) == expected_asymptote
         assert prefix_fixed_points(cfg) == expected_prefixes
         assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][1]
@@ -563,9 +568,8 @@ class TestSweepSharesOneWalkPerLadder:
         assert sum(builds.values()) == max(depth, expected_asymptote.iterations)
 
     def test_interrupted_level_is_rebuilt_not_lost(self, monkeypatch):
-        # An exception that is not a protocol error closes the ladder's
-        # generator mid-build; the next read walks it again instead of
-        # ending early.
+        # An exception that is not a protocol error stops a level mid-build;
+        # nothing of it is kept, and the next read builds it again.
         cfg = make_config(f0=0.98, span=63)
         real = protocol.build_c_pair
         calls = itertools.count()
@@ -589,3 +593,36 @@ class TestSweepSharesOneWalkPerLadder:
         assert outcome(fixed_point_at_distance, cfg, 15) == first
         assert outcome(asymptotic_fidelity, cfg) == first
         assert outcome(prefix_fixed_points, cfg) == first
+        # Nothing is built before a read needs it, not even the elementary pair.
+        p_zero = apply_overrides(make_config(), l0_km=5000.0)
+        no_levels = FixedPointResult(None, 0, False, ASYMPTOTE_TOL)
+        assert asymptotic_fidelity(p_zero, ASYMPTOTE_TOL, 0) == no_levels
+        assert "(P = 0)" in outcome(asymptotic_fidelity, p_zero)[1]
+
+    @pytest.mark.parametrize(
+        "base, axes",
+        [
+            (unpurifiable_config(3), {"m": [3, 2], "target_span": [3, 7]}),
+            (make_config(f0=0.98), {"target_span": [7, 10]}),
+        ],
+        ids=["unpurifiable", "bad_span"],
+    )
+    def test_failed_walks_are_freed_without_the_cycle_collector(self, base, axes, monkeypatch):
+        # Neither a walk nor the sweep keeps an error it caught, so no
+        # traceback holds a walk, or the sweep's frame, in a cycle.
+        made = []
+
+        class TrackedWalk(analysis._Walk):
+            def __init__(self, config):
+                super().__init__(config)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(analysis, "_Walk", TrackedWalk)
+        gc.disable()
+        try:
+            table = sweep(base, axes)
+            alive = [ref() is not None for ref in made]
+        finally:
+            gc.enable()
+        assert any(row["error"] for row in table.rows)
+        assert alive and not any(alive)

@@ -285,15 +285,19 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "command, km",
-        [(c, km) for c in ("simulate", "fixed-point") for km in ("1420", "1440", "1460")]
+        [(c, km) for c in ("simulate", "fixed-point") for km in ("1420", "1440", "1460", "5000")]
         # headline's own p_em and eps_local give P = 0 at 1460 km.
-        + [("headline", "1420"), ("headline", "1440")],
+        + [("headline", "1420"), ("headline", "1440"), ("headline", "5000")],
     )
     def test_link_probability_below_float_resolution(self, command, km, capsys):
         # 0 < P = 5.55e-17 < eps/2, so 1 - P rounds to 1 and the link's
-        # geometric wait would divide by zero.
+        # geometric wait would divide by zero.  At 5000 km P = 0, and every
+        # command prints the ladder's message for it.
         assert main([command, "--l0-km", km]) == 2
-        assert "P = 5.551e-17 is below float resolution" in capsys.readouterr().err
+        if km == "5000":
+            assert capsys.readouterr().err == "error: elementary link never succeeds (P = 0)\n"
+        else:
+            assert "P = 5.551e-17 is below float resolution" in capsys.readouterr().err
 
     def test_sweep_row_below_float_resolution(self, capsys):
         assert main(["sweep", "--axis", "l0_km=1400,1440", "--target-span", "3"]) == 0

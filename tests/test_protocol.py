@@ -1,7 +1,6 @@
 """Nested protocol: construction rules, closed-form checks, expected-time
 models and the discrete-event sampler."""
 
-import itertools
 import math
 import os
 import subprocess
@@ -23,6 +22,7 @@ from qrepeater.channel import (
 )
 from qrepeater.ops import NoiseParams
 from qrepeater.protocol import (
+    Ladder,
     PairRecord,
     ProtocolConfig,
     ProtocolError,
@@ -30,9 +30,9 @@ from qrepeater.protocol import (
     build_c_pair,
     default_schedule,
     elementary_pair,
-    ladder,
     monte_carlo_time,
     pump,
+    pumping_depth,
     round_span_up,
     run_protocol,
 )
@@ -99,8 +99,8 @@ class TestSchedule:
         cfg = ProtocolConfig(
             link=LinkParams(), noise=NoiseParams(), m=(1, 2, 3), target_span=15
         )
-        assert cfg.m_at_level(0) == 1
-        assert cfg.m_at_level(2) == 3
+        assert pumping_depth(cfg.m, 0) == 1
+        assert pumping_depth(cfg.m, 2) == 3
         with pytest.raises(ValueError, match="entries"):
             ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=(1, 2), target_span=15)
 
@@ -374,7 +374,9 @@ def reference_monte_carlo_samples(config, rng, trials):
     prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
     unit = config.link.attempt_duration_s
     tc = config.link.tc_s
-    levels = list(itertools.islice(ladder(config), len(config.schedule)))
+    ladder = Ladder(config)
+    ladder.pair(len(config.schedule))
+    levels = ladder.levels
 
     def sample_links(count, racers):
         draws = rng.geometric(prob, size=(count, racers))
@@ -510,7 +512,7 @@ class TestSamplerMatchesGeometricReference:
             raise AssertionError("ladder built before the arguments were checked")
 
         monkeypatch.setattr(protocol, "np", None)
-        monkeypatch.setattr(protocol, "_build_levels", no_ladder)
+        monkeypatch.setattr(protocol, "Ladder", no_ladder)
         with pytest.raises(ValueError, match=message):
             monte_carlo_time(make_config(span=7), **kwargs)
         assert protocol.np is None
