@@ -39,7 +39,7 @@ final_f = fidelity(result.final.state)
 
 print(f"declared efficiency   : {eps:.4f}")
 print(f"elementary fidelity   : {initial_fidelity(link.p_em, eps):.4f}")
-print(f"schedule              : spans {[2*n+1 for n in cfg.schedule]}")
+print(f"schedule              : spans {[2**k - 1 for k in range(2, cfg.depth + 2)]}")
 print(f"covered distance      : {span * link.l0_km:.0f} km")
 print(f"final fidelity        : {final_f:.4f}")
 print(f"expected total time   : {result.total_expected_time:.2f} s")
@@ -49,4 +49,4 @@ print(f"violates CHSH (> {BELL_VIOLATION_FIDELITY})? {verdict}")
 print("\nper-level trace:")
 print("span  fidelity   expected time")
 for rec in result.per_level:
-    print(f"{rec.span:<5} {fidelity(rec.state):<10.5f} {rec.expected_time:.4g} s")
+    print(f"{rec.span:<5} {fidelity(rec.state):<10.5f} {rec.time.mean:.4g} s")

@@ -33,9 +33,9 @@ from .protocol import (
     TimeDistribution,
     build_b_pair,
     build_c_pair,
-    default_schedule,
     elementary_pair,
     monte_carlo_time,
+    nesting_depth,
     pump,
     round_span_up,
     run_protocol,

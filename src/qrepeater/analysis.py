@@ -7,7 +7,9 @@ fixed point that depends on the distance.  Across nesting levels those
 fixed points approach a distance-independent asymptote.  Both limits are
 computed here by direct iteration of the same maps the protocol uses,
 reading the levels of one :class:`~qrepeater.protocol.Ladder` per config
-that also keeps the fixed point at each depth.
+that also keeps the fixed point at each depth.  Both stop by the module
+constants: FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed point,
+ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .protocol import (
     PairRecord,
     ProtocolConfig,
     ProtocolError,
-    default_schedule,
+    nesting_depth,
     pumping_depth,
 )
 
@@ -45,7 +47,6 @@ class FixedPointResult:
     value: float
     iterations: int
     converged: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
         outcome = purify(state, level.c.state, noise)
         if not outcome.purifiable:
-            return FixedPointResult(value, iteration, False, FIXED_POINT_TOL)
+            return FixedPointResult(value, iteration, False)
         state = outcome.state
         new_value = fidelity(state)
         delta = abs(new_value - value)
@@ -75,8 +76,8 @@ def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
         # small step can be a zero-gain parity step; require two in a row.
         small_steps = small_steps + 1 if delta <= FIXED_POINT_TOL else 0
         if small_steps >= 2:
-            return FixedPointResult(value, iteration, True, FIXED_POINT_TOL)
-    return FixedPointResult(value, FIXED_POINT_MAX_ITER, False, FIXED_POINT_TOL)
+            return FixedPointResult(value, iteration, True)
+    return FixedPointResult(value, FIXED_POINT_MAX_ITER, False)
 
 
 class _Walk(Ladder):
@@ -94,20 +95,20 @@ class _Walk(Ladder):
             self._fixed_points[depth] = (
                 _pumped_fixed_point(self.levels[depth - 1], self.config.noise)
                 if depth
-                else FixedPointResult(fidelity(pair.state), 0, True, FIXED_POINT_TOL)
+                else FixedPointResult(fidelity(pair.state), 0, True)
             )
         return self._fixed_points[depth]
 
-    def asymptote(self, tol: float, max_levels: int) -> FixedPointResult:
+    def asymptote(self) -> FixedPointResult:
         previous = None
-        for depth in range(1, max_levels + 1):
+        for depth in range(1, ASYMPTOTE_MAX_LEVELS + 1):
             fp = self.fixed_point(depth)
             if fp.value < USEFUL_FIDELITY_FLOOR:
-                return FixedPointResult(fp.value, depth, False, tol)
-            if previous is not None and abs(fp.value - previous) <= tol:
-                return FixedPointResult(fp.value, depth, True, tol)
+                return FixedPointResult(fp.value, depth, False)
+            if previous is not None and abs(fp.value - previous) <= ASYMPTOTE_TOL:
+                return FixedPointResult(fp.value, depth, True)
             previous = fp.value
-        return FixedPointResult(previous, max_levels, False, tol)
+        return FixedPointResult(previous, ASYMPTOTE_MAX_LEVELS, False)
 
 
 #: The last config's walk, kept so that successive calls on one config (as
@@ -128,27 +129,23 @@ def fixed_point_at_distance(config: ProtocolConfig, span: int) -> FixedPointResu
     pumps give 0.69411, and further rounds lower it monotonically to the
     fixed point 0.69113.
     """
-    return _walk(config).fixed_point(len(default_schedule(span)))
+    return _walk(config).fixed_point(nesting_depth(span))
 
 
-def asymptotic_fidelity(
-    config: ProtocolConfig,
-    tol: float = ASYMPTOTE_TOL,
-    max_levels: int = ASYMPTOTE_MAX_LEVELS,
-) -> FixedPointResult:
+def asymptotic_fidelity(config: ProtocolConfig) -> FixedPointResult:
     """Distance-independent limit of the fixed-point fidelity, found by
     growing the nesting depth until successive fixed points differ by at
-    most ``tol``; no level beyond ``max_levels`` is built.  A fixed point
-    falling below 0.5 means entanglement is lost and is reported as not
-    converged."""
-    return _walk(config).asymptote(tol, max_levels)
+    most ASYMPTOTE_TOL; no level beyond ASYMPTOTE_MAX_LEVELS is built.  A
+    fixed point falling below 0.5 means entanglement is lost and is
+    reported as not converged."""
+    return _walk(config).asymptote()
 
 
 def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedPointResult]]:
-    """The purified pair and the fixed point at every schedule prefix
-    span, span 1 first, read from one ladder."""
+    """The purified pair and the fixed point at every depth up to the
+    config's, span 1 first, read from one ladder."""
     walk = _walk(config)
-    return [(walk.pair(d), walk.fixed_point(d)) for d in range(len(config.schedule) + 1)]
+    return [(walk.pair(d), walk.fixed_point(d)) for d in range(config.depth + 1)]
 
 
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
@@ -174,7 +171,7 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     link = replace(config.link, **link_kw)
     noise = replace(config.noise, **noise_kw)
     if not isinstance(m, int):
-        m = tuple(pumping_depth(m, i) for i in range(len(default_schedule(target))))
+        m = tuple(pumping_depth(m, i) for i in range(nesting_depth(target)))
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 
 
@@ -209,12 +206,10 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTab
             if key is None:
                 raise ValueError(cfg)
             walk = walks[key] = walks.get(key) or _Walk(cfg)
-            depth = len(cfg.schedule)
-            final, fp = walk.pair(depth), walk.fixed_point(depth)
-            asym = walk.asymptote(ASYMPTOTE_TOL, ASYMPTOTE_MAX_LEVELS)
+            final, fp = walk.pair(cfg.depth), walk.fixed_point(cfg.depth)
             row.update(
-                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
-                expected_time_s=final.expected_time, error="",
+                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=walk.asymptote().value,
+                expected_time_s=final.time.mean, error="",
             )
         except (ValueError, ProtocolError) as exc:
             row.update(

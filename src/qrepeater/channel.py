@@ -23,8 +23,10 @@ FIBER_SIGNAL_SPEED_M_PER_S = 2.0e8
 class LinkParams:
     """Physical description of one fiber segment between adjacent nodes.
 
-    tc_s defaults to the one-way classical signalling time over half the
-    segment and back, l0_km / (2e8 m/s).
+    ``tc_s`` is the classical heralding time per attempt, as given; None
+    (the default) derives it on every read of :attr:`classical_time_s`
+    as the one-way signalling time over half the segment and back,
+    l0_km / (2e8 m/s), so a copy with another ``l0_km`` derives its own.
     """
 
     l0_km: float = 20.0
@@ -51,16 +53,18 @@ class LinkParams:
             raise ValueError(f"eps_local must lie in (0, 1], got {self.eps_local!r}")
         if self.t0_s < 0:
             raise ValueError(f"t0_s must be >= 0, got {self.t0_s!r}")
-        if self.tc_s is None:
-            object.__setattr__(
-                self, "tc_s", self.l0_km * 1000.0 / FIBER_SIGNAL_SPEED_M_PER_S
-            )
-        elif self.tc_s < 0:
+        if self.tc_s is not None and self.tc_s < 0:
             raise ValueError(f"tc_s must be >= 0, got {self.tc_s!r}")
 
     @property
+    def classical_time_s(self) -> float:
+        if self.tc_s is None:
+            return self.l0_km * 1000.0 / FIBER_SIGNAL_SPEED_M_PER_S
+        return self.tc_s
+
+    @property
     def attempt_duration_s(self) -> float:
-        return self.t0_s + self.tc_s
+        return self.t0_s + self.classical_time_s
 
 
 def channel_efficiency(link: LinkParams) -> float:

@@ -98,7 +98,7 @@ def cmd_simulate(config: RunConfig) -> str:
     t_link = expected_link_time(pcfg.link)
     rows = []
     for pair, fp in prefixes:
-        t, fid = pair.expected_time, fidelity(pair.state)
+        t, fid = pair.time.mean, fidelity(pair.state)
         units = t / t_link if t_link else None
         rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
     header = [

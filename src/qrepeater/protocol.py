@@ -12,9 +12,10 @@ and only when read; :func:`run_protocol`, the sampler and the
 fixed-point analysis all read it.
 
 Fidelity bookkeeping is deterministic (conditioned on every purification
-accepting); the time bookkeeping propagates the first two moments of the
-random completion times and is cross-checked by a discrete-event Monte
-Carlo sampler of the same process.
+accepting); each pair carries its build time as one
+:class:`~qrepeater.timing.Duration`, the first two moments of the random
+completion time, cross-checked by a discrete-event Monte Carlo sampler of
+the same process.
 """
 
 from __future__ import annotations
@@ -49,21 +50,19 @@ class ProtocolError(RuntimeError):
     step); the message carries the nesting-level context."""
 
 
-def default_schedule(target_span: int) -> tuple[int, ...]:
-    """Level input spans 1, 3, 7, ... for a target span of the form
-    2^k - 1."""
+def nesting_depth(target_span: int) -> int:
+    """The number k of nesting levels that build a target span of the form
+    2^k - 1 from single segments; span 1 needs none."""
     if target_span < 1:
         raise ValueError(f"target_span must be >= 1, got {target_span!r}")
-    levels = []
-    span = 1
+    depth, span = 0, 1
     while span < target_span:
-        levels.append(span)
-        span = 2 * span + 1
+        depth, span = depth + 1, 2 * span + 1
     if span != target_span:
         raise ValueError(
             f"target_span must be of the form 2^k - 1 (1, 3, 7, 15, ...), got {target_span!r}"
         )
-    return tuple(levels)
+    return depth
 
 
 def round_span_up(span: int) -> int:
@@ -90,8 +89,8 @@ def pumping_depth(m: int | tuple[int, ...], level: int) -> int:
 class ProtocolConfig:
     """Everything a protocol run needs: the physical link, the local
     noise, the pumping depth m (one int, or one per nesting level) and
-    the target span.  The nesting schedule (level input spans 1, 3, 7,
-    ...) is derived from ``target_span`` and cannot be passed.
+    the target span.  The nesting depth k (target span 2^k - 1) is
+    derived from ``target_span`` and cannot be passed.
 
     ``f0`` optionally pins the elementary-pair fidelity directly instead
     of deriving it from the link parameters; the time model always uses
@@ -102,21 +101,19 @@ class ProtocolConfig:
     noise: NoiseParams
     m: int | tuple[int, ...] = 3
     target_span: int = 15
-    schedule: tuple[int, ...] = field(init=False)
+    depth: int = field(init=False)
     f0: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", default_schedule(self.target_span))
+        object.__setattr__(self, "depth", nesting_depth(self.target_span))
         if isinstance(self.m, int):
             if self.m < 0:
                 raise ValueError(f"m must be >= 0, got {self.m!r}")
         else:
             ms = tuple(self.m)
             object.__setattr__(self, "m", ms)
-            if len(ms) != len(self.schedule):
-                raise ValueError(
-                    f"per-level m needs {len(self.schedule)} entries, got {len(ms)}"
-                )
+            if len(ms) != self.depth:
+                raise ValueError(f"per-level m needs {self.depth} entries, got {len(ms)}")
             if any(mi < 0 for mi in ms):
                 raise ValueError(f"per-level m entries must be >= 0, got {ms!r}")
         if self.f0 is not None and not 0.0 <= self.f0 <= 1.0:
@@ -127,32 +124,19 @@ class ProtocolConfig:
 class PairRecord:
     """One entangled pair with its provenance: purity species (A fully
     purified, B stored-and-being-pumped, C freshly built fodder), the
-    number of elementary segments it spans, its Bell-diagonal state, the
-    expected wall-clock time to build it and the probability of the
-    conditioning event that produced it.
-
-    ``time_var`` is the variance of the build time, carried for the
-    concurrency model; it is not part of the public contract.
-    """
+    number of elementary segments it spans, its Bell-diagonal state and
+    the mean and variance of the wall-clock time to build it."""
 
     species: str
     span: int
     state: BellDiagonalState
-    expected_time: float
-    success_prob: float
-    time_var: float = 0.0
+    time: Duration
 
     def __post_init__(self):
         if self.species not in ("A", "B", "C"):
             raise ValueError(f"species must be A, B or C, got {self.species!r}")
         if self.span < 1:
             raise ValueError(f"span must be >= 1, got {self.span!r}")
-        if self.expected_time < 0:
-            raise ValueError(f"expected_time must be >= 0, got {self.expected_time!r}")
-
-    @property
-    def duration(self) -> Duration:
-        return Duration(self.expected_time, self.time_var)
 
 
 @dataclass(frozen=True)
@@ -187,15 +171,7 @@ def _elementary_state(config: ProtocolConfig) -> BellDiagonalState:
 def elementary_pair(config: ProtocolConfig) -> PairRecord:
     """Freshly heralded pair over one segment: species A, span 1."""
     prob, unit = _link_prob_and_unit(config)
-    dur = max_of_geometric(1, prob, unit)
-    return PairRecord(
-        species="A",
-        span=1,
-        state=_elementary_state(config),
-        expected_time=dur.mean,
-        success_prob=prob,
-        time_var=dur.var,
-    )
+    return PairRecord("A", 1, _elementary_state(config), max_of_geometric(1, prob, unit))
 
 
 def build_b_pair(
@@ -218,9 +194,8 @@ def build_b_pair(
         group = max_of_geometric(3, prob, unit)
     else:
         link = max_of_geometric(1, prob, unit)
-        group = max_all([a_left.duration, a_right.duration, link])
-    dur = group.shifted(config.link.tc_s)
-    return PairRecord("B", 2 * n + 1, state, dur.mean, 1.0, dur.var)
+        group = max_all([a_left.time, a_right.time, link])
+    return PairRecord("B", 2 * n + 1, state, group.shifted(config.link.classical_time_s))
 
 
 def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, float]:
@@ -245,12 +220,12 @@ def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, 
         prob, unit = _link_prob_and_unit(config)
         group = max_of_geometric(2, prob, unit)
     else:
-        group = max_all([half.duration, half.duration])
-    base = group.shifted(config.link.tc_s)
+        group = max_all([half.time, half.time])
+    tc = config.link.classical_time_s
+    base = group.shifted(tc)
     outcome = purify(state, state, config.noise)
-    dur = restarting_rounds(base, base, config.link.tc_s, [outcome.success_prob])
-    record = PairRecord("A", 2 * half.span, outcome.state, dur.mean, 1.0, dur.var)
-    return record, outcome.success_prob
+    time = restarting_rounds(base, base, tc, [outcome.success_prob])
+    return PairRecord("A", 2 * half.span, outcome.state, time), outcome.success_prob
 
 
 def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord:
@@ -273,9 +248,8 @@ def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord
             raise ValueError("build_c_pair needs an A pair")
         span = 2 * inner.span + 3
         state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
-        group = max_all([inner.duration, inner.duration, links])
-    dur = group.shifted(config.link.tc_s)
-    return PairRecord("C", span, state, dur.mean, 1.0, dur.var)
+        group = max_all([inner.time, inner.time, links])
+    return PairRecord("C", span, state, group.shifted(config.link.classical_time_s))
 
 
 def pump(
@@ -300,7 +274,7 @@ def pump(
             f"pump span mismatch{where}: B spans {b.span}, C spans {c.span}"
         )
     if m == 0:
-        return PairRecord("A", b.span, b.state, b.expected_time, 1.0, b.time_var), ()
+        return PairRecord("A", b.span, b.state, b.time), ()
     state = b.state
     probs: list[float] = []
     for step in range(m):
@@ -312,9 +286,8 @@ def pump(
             )
         state = outcome.state
         probs.append(outcome.success_prob)
-    dur = restarting_rounds(b.duration, c.duration, config.link.tc_s, probs)
-    a = PairRecord("A", b.span, state, dur.mean, math.prod(probs), dur.var)
-    return a, tuple(probs)
+    time = restarting_rounds(b.time, c.time, config.link.classical_time_s, probs)
+    return PairRecord("A", b.span, state, time), tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -368,15 +341,15 @@ class Ladder:
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
-    """Run the nested scheme across the whole schedule and return the
-    final pair, the per-level A-pair snapshots and the total expected
-    time."""
+    """Run the nested scheme through every level up to the target span and
+    return the final pair, the per-level A-pair snapshots and the total
+    expected time."""
     ladder = Ladder(config)
-    final = ladder.pair(len(config.schedule))
+    final = ladder.pair(config.depth)
     return ProtocolResult(
         final=final,
         per_level=tuple(level.a for level in ladder.levels),
-        total_expected_time=final.expected_time,
+        total_expected_time=final.time.mean,
     )
 
 
@@ -430,9 +403,9 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
         import numpy as np
     prob, unit = _link_prob_and_unit(config)
     # 0-d arrays: numpy converts a Python float operand on every call.
-    rate, unit, tc = map(np.array, (-math.log1p(-prob), unit, config.link.tc_s))
+    rate, unit, tc = map(np.array, (-math.log1p(-prob), unit, config.link.classical_time_s))
     ladder = Ladder(config)
-    top = len(config.schedule)
+    top = config.depth
     ladder.pair(top)
     levels = ladder.levels
     rng = np.random.default_rng(seed)

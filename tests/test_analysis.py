@@ -31,8 +31,8 @@ from qrepeater.protocol import (
     ProtocolConfig,
     ProtocolError,
     build_b_pair,
-    default_schedule,
     elementary_pair,
+    nesting_depth,
     run_protocol,
 )
 
@@ -145,9 +145,9 @@ class TestApplyOverrides:
         cfg = apply_overrides(make_config(), p_eta=0.997)
         assert cfg.noise.p == 0.997 and cfg.noise.eta == 0.997
 
-    def test_target_span_rebuilds_schedule(self):
+    def test_target_span_rebuilds_depth(self):
         cfg = apply_overrides(make_config(span=15), target_span=63)
-        assert cfg.schedule == (1, 3, 7, 15, 31)
+        assert cfg.depth == 5
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -225,14 +225,14 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
     """The from-scratch definition of F_FP: run the whole protocol for the
     span, rebuild the top level's B and C pairs, and pump until stall."""
     if span == 1:
-        return FixedPointResult(fidelity(elementary_pair(config).state), 0, True, tol)
-    schedule = default_schedule(span)
+        return FixedPointResult(fidelity(elementary_pair(config).state), 0, True)
+    depth = nesting_depth(span)
     if isinstance(config.m, int):
         m = config.m
     else:
         m = tuple(
             config.m[i] if i < len(config.m) else config.m[-1]
-            for i in range(len(schedule))
+            for i in range(depth)
         )
     sub = ProtocolConfig(
         link=config.link, noise=config.noise, m=m, target_span=span,
@@ -256,14 +256,14 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
     for iteration in range(1, max_iter + 1):
         outcome = purify(state, c_state, sub.noise)
         if not outcome.purifiable:
-            return FixedPointResult(value, iteration, False, tol)
+            return FixedPointResult(value, iteration, False)
         state = outcome.state
         new_value = fidelity(state)
         small_steps = small_steps + 1 if abs(new_value - value) <= tol else 0
         value = new_value
         if small_steps >= 2:
-            return FixedPointResult(value, iteration, True, tol)
-    return FixedPointResult(value, max_iter, False, tol)
+            return FixedPointResult(value, iteration, True)
+    return FixedPointResult(value, max_iter, False)
 
 
 def reference_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVELS):
@@ -274,11 +274,11 @@ def reference_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVE
         span = 2 * span + 1
         fp = reference_fixed_point(config, span)
         if fp.value < USEFUL_FIDELITY_FLOOR:
-            return FixedPointResult(fp.value, level, False, tol)
+            return FixedPointResult(fp.value, level, False)
         if previous is not None and abs(fp.value - previous) <= tol:
-            return FixedPointResult(fp.value, level, True, tol)
+            return FixedPointResult(fp.value, level, True)
         previous = fp.value
-    return FixedPointResult(previous, max_levels, False, tol)
+    return FixedPointResult(previous, max_levels, False)
 
 
 def outcome(fn, *args):
@@ -320,7 +320,6 @@ class TestLadderMatchesFromScratchDefinition:
     def test_asymptote(self, name):
         cfg = LADDER_CASES[name]
         assert asymptotic_fidelity(cfg) == reference_asymptote(cfg)
-        assert asymptotic_fidelity(cfg, 1e-3, 3) == reference_asymptote(cfg, 1e-3, 3)
 
     def test_asymptote_below_half_is_not_converged(self):
         asym = asymptotic_fidelity(LADDER_CASES["asymptote_below_half"])
@@ -336,10 +335,6 @@ class TestLadderMatchesFromScratchDefinition:
                 reference_fixed_point, cfg, span
             )
         assert outcome(asymptotic_fidelity, cfg) == outcome(reference_asymptote, cfg)
-        # No level beyond max_levels is built, so none can raise.
-        assert asymptotic_fidelity(cfg, ASYMPTOTE_TOL, 0) == reference_asymptote(
-            cfg, ASYMPTOTE_TOL, 0
-        )
 
     def test_tuple_m_sweep_never_shares_across_stretched_m(self):
         # m = (2, 0) stretches to (2,) at span 3 but (2, 0) at span 7: the
@@ -398,20 +393,20 @@ def test_finite_pumping_can_exceed_the_fixed_point():
     assert fidelity(result.final.state) > fp.value
 
 
-def per_point_asymptote(config, tol=ASYMPTOTE_TOL, max_levels=ASYMPTOTE_MAX_LEVELS):
+def per_point_asymptote(config):
     """The asymptote loop on a fresh ladder of its own, as each sweep point
     once ran it."""
     previous = None
     ladder = Ladder(config)
-    for depth in range(1, max_levels + 1):
+    for depth in range(1, ASYMPTOTE_MAX_LEVELS + 1):
         ladder.pair(depth)
         fp = _pumped_fixed_point(ladder.levels[depth - 1], config.noise)
         if fp.value < USEFUL_FIDELITY_FLOOR:
-            return FixedPointResult(fp.value, depth, False, tol)
-        if previous is not None and abs(fp.value - previous) <= tol:
-            return FixedPointResult(fp.value, depth, True, tol)
+            return FixedPointResult(fp.value, depth, False)
+        if previous is not None and abs(fp.value - previous) <= ASYMPTOTE_TOL:
+            return FixedPointResult(fp.value, depth, True)
         previous = fp.value
-    return FixedPointResult(previous, max_levels, False, tol)
+    return FixedPointResult(previous, ASYMPTOTE_MAX_LEVELS, False)
 
 
 def per_point_sweep_rows(base, axes):
@@ -423,15 +418,15 @@ def per_point_sweep_rows(base, axes):
         try:
             cfg = apply_overrides(base, **row)
             ladder = Ladder(cfg)
-            final = ladder.pair(len(cfg.schedule))
+            final = ladder.pair(cfg.depth)
             if ladder.levels:
                 fp = _pumped_fixed_point(ladder.levels[-1], cfg.noise)
             else:
-                fp = FixedPointResult(fidelity(final.state), 0, True, FIXED_POINT_TOL)
+                fp = FixedPointResult(fidelity(final.state), 0, True)
             asym = per_point_asymptote(cfg)
             row.update(
                 fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
-                expected_time_s=final.expected_time, error="",
+                expected_time_s=final.time.mean, error="",
             )
         except (ValueError, ProtocolError) as exc:
             row.update(
@@ -528,10 +523,10 @@ class TestSweepSharesOneWalkPerLadder:
                 super().__init__(config)
                 made.append(weakref.ref(self))
 
-            def asymptote(self, tol, max_levels):
+            def asymptote(self):
                 # Every earlier f0's points are done, so its walk is gone.
                 assert [ref() is None for ref in made] == [True] * (len(made) - 1) + [False]
-                return super().asymptote(tol, max_levels)
+                return super().asymptote()
 
         monkeypatch.setattr(analysis, "_Walk", TrackedWalk)
         sweep(make_config(), README_AXES)
@@ -540,12 +535,12 @@ class TestSweepSharesOneWalkPerLadder:
 
     def test_fixed_point_command_walks_one_ladder(self, monkeypatch):
         cfg = make_config(f0=0.98, span=127)
-        depth = len(cfg.schedule)
+        depth = cfg.depth
         expected_asymptote = per_point_asymptote(cfg)
         ladder = Ladder(cfg)
         ladder.pair(depth)
         expected_prefixes = [
-            (elementary_pair(cfg), FixedPointResult(0.98, 0, True, FIXED_POINT_TOL))
+            (elementary_pair(cfg), FixedPointResult(0.98, 0, True))
         ] + [(level.a, _pumped_fixed_point(level, cfg.noise)) for level in ladder.levels]
         builds = Counter()
         real = protocol.build_b_pair
@@ -593,10 +588,7 @@ class TestSweepSharesOneWalkPerLadder:
         assert outcome(fixed_point_at_distance, cfg, 15) == first
         assert outcome(asymptotic_fidelity, cfg) == first
         assert outcome(prefix_fixed_points, cfg) == first
-        # Nothing is built before a read needs it, not even the elementary pair.
         p_zero = apply_overrides(make_config(), l0_km=5000.0)
-        no_levels = FixedPointResult(None, 0, False, ASYMPTOTE_TOL)
-        assert asymptotic_fidelity(p_zero, ASYMPTOTE_TOL, 0) == no_levels
         assert "(P = 0)" in outcome(asymptotic_fidelity, p_zero)[1]
 
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 from qrepeater.analysis import apply_overrides
 from qrepeater.channel import LinkParams, initial_fidelity
 from qrepeater.cli import (
+    _AXIS_TYPES,
     BELL_VIOLATION_FIDELITY,
     _parse_axes,
     cmd_fixed_point,
@@ -405,6 +406,26 @@ class TestParameterRegistry:
                 continue
             assert _parse_axes([f"{name}={value}"]) == {name: [value]}
             assert protocol_value(apply_overrides(base, **{name: value}), name) == value
+
+    @pytest.mark.parametrize("name", sorted(_AXIS_TYPES))
+    def test_one_point_sweep_matches_the_single_commands(self, name, capsys):
+        # A sweep axis must give what the same flag gives simulate and
+        # fixed-point, including values the link derives from l0_km.
+        value = {**SAMPLE_VALUES, "p_eta": 0.99}[name]
+        names = ("p", "eta") if name == "p_eta" else (name,)
+        flags = [arg for n in names for arg in ("--" + n.replace("_", "-"), str(value))]
+
+        def last_row(argv):
+            assert main(argv) == 0
+            header, rows = data_rows(capsys.readouterr().out)
+            return dict(zip(header, rows[-1]))
+
+        swept = last_row(["sweep", "--axis", f"{name}={value}"])
+        simulated = last_row(["simulate", *flags])
+        for column in ("fidelity", "f_fp", "expected_time_s"):
+            assert swept[column] == simulated[column], column
+        assert swept["f_inf"] == last_row(["fixed-point", *flags])["f_inf"]
+        assert swept["error"] == ""
 
     def test_p_eta_sets_both_reliabilities(self):
         assert _parse_axes(["p_eta=0.97,0.99"]) == {"p_eta": [0.97, 0.99]}

@@ -5,9 +5,11 @@ The SHA-256 digests were recorded from separate ``qrepeater`` processes
 at commit 93441ad (``GOLDEN_SHA256``), 8825bd1 (``MORE_SHA256`` and
 ``HELP_SHA256``, the help with ``COLUMNS=80``), dd58d26 (the ``link``
 entries of ``MORE_SHA256``), b6d37f0 (the ``fixed-point`` and error-row
-``sweep`` entries of ``MORE_SHA256``, and the 1400 km links) and 9441862
-(the noisy-gate grids of ``MORE_SHA256``); any change to a number, its
-formatting, the header comments or a flag shows up here.
+``sweep`` entries of ``MORE_SHA256``, and the 1400 km links), 9441862
+(the noisy-gate grids of ``MORE_SHA256``) and the child of 2ff288a (the
+``l0_km`` sweep, once a swept segment length re-derives its classical
+time ``tc_s``); any change to a number, its formatting, the header
+comments or a flag shows up here.
 """
 
 import hashlib
@@ -65,7 +67,7 @@ MORE_SHA256 = {
     "simulate --l0-km 1400":
         "cc9f38902a4b65673add13f4a2d1aff88591a5ca45db5686ef9632c605077e1f",
     "sweep --axis l0_km=1380,1400,1480 --target-span 3":
-        "523b34ff7860e25bc7182e5caad6d61582d34167bd4b3a655f118945bec6d528",
+        "e6775e66d8fbb81323b827aae790ce6fdb5b8527507a9a7761983ebf319a7291",
     # Noisy gates and measurements (p, eta < 1, upsilon > 0) through the
     # purify and swap kernels.
     "fixed-point --axis p_eta=0.97,0.99,0.993,0.995,0.997 --axis upsilon=0,0.15,0.3,0.45":

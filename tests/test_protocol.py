@@ -28,14 +28,15 @@ from qrepeater.protocol import (
     ProtocolError,
     build_b_pair,
     build_c_pair,
-    default_schedule,
     elementary_pair,
     monte_carlo_time,
+    nesting_depth,
     pump,
     pumping_depth,
     round_span_up,
     run_protocol,
 )
+from qrepeater.timing import Duration
 
 TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,14 +72,14 @@ def perfect_config(m=3, span=15):
 
 
 class TestSchedule:
-    def test_default_schedule_doubles(self):
-        assert default_schedule(15) == (1, 3, 7)
-        assert default_schedule(1) == ()
-        assert default_schedule(3) == (1,)
+    def test_nesting_depth_counts_doublings(self):
+        assert nesting_depth(15) == 3
+        assert nesting_depth(1) == 0
+        assert nesting_depth(3) == 1
 
     def test_rejects_non_power_form(self):
         with pytest.raises(ValueError, match="2\\^k"):
-            default_schedule(10)
+            nesting_depth(10)
 
     def test_round_span_up(self):
         assert round_span_up(1) == 1
@@ -86,14 +87,12 @@ class TestSchedule:
         assert round_span_up(50) == 63
         assert round_span_up(63) == 63
 
-    def test_schedule_is_derived_from_target_span(self):
+    def test_depth_is_derived_from_target_span(self):
         for span in (1, 3, 15, 1023):
             cfg = ProtocolConfig(link=LinkParams(), noise=NoiseParams(), target_span=span)
-            assert cfg.schedule == default_schedule(span)
-        with pytest.raises(TypeError, match="schedule"):
-            ProtocolConfig(
-                link=LinkParams(), noise=NoiseParams(), target_span=15, schedule=(1, 3, 7)
-            )
+            assert cfg.depth == nesting_depth(span)
+        with pytest.raises(TypeError, match="depth"):
+            ProtocolConfig(link=LinkParams(), noise=NoiseParams(), target_span=15, depth=3)
 
     def test_per_level_m(self):
         cfg = ProtocolConfig(
@@ -121,8 +120,9 @@ class TestElementaryPair:
         eps = channel_efficiency(link)
         assert fidelity(pair.state) == pytest.approx(initial_fidelity(0.05, eps), abs=TOL)
         prob = entangle_success_prob(0.05, eps)
-        assert pair.expected_time == pytest.approx(link.attempt_duration_s / prob, rel=1e-12)
-        assert pair.success_prob == pytest.approx(prob, abs=TOL)
+        unit = link.attempt_duration_s
+        assert pair.time.mean == pytest.approx(unit / prob, rel=1e-12)
+        assert pair.time.var == pytest.approx((1 - prob) / prob**2 * unit**2, rel=1e-12)
 
     def test_f0_override(self):
         pair = elementary_pair(make_config(f0=0.961558))
@@ -146,7 +146,7 @@ class TestBuildBPair:
     def test_span_mismatch_rejected(self):
         cfg = make_config()
         a1 = elementary_pair(cfg)
-        a3 = PairRecord("A", 3, a1.state, 0.0, 1.0)
+        a3 = PairRecord("A", 3, a1.state, Duration(0.0))
         with pytest.raises(ValueError, match="span"):
             build_b_pair(a1, a3, cfg)
 
@@ -196,40 +196,39 @@ class TestPump:
         out, probs = pump(b, build_c_pair(None, cfg), 0, cfg)
         assert out.species == "A" and probs == ()
         assert np.max(np.abs(out.state.weights - b.state.weights)) < TOL
-        assert out.expected_time == b.expected_time
+        assert out.time == b.time
 
     def test_single_step_closed_form(self):
         cfg = make_config(span=3, m=1)
         state = from_fidelity(0.9, 0.0)
-        b = PairRecord("B", 3, state, 1.0, 1.0)
-        c = PairRecord("C", 3, state, 1.0, 1.0)
-        out, probs = pump(b, c, 1, cfg)
-        assert probs == (out.success_prob,)
+        b = PairRecord("B", 3, state, Duration(1.0))
+        c = PairRecord("C", 3, state, Duration(1.0))
+        out, (q,) = pump(b, c, 1, cfg)
         expected_f, expected_q = dejmps_phase_only(0.9, 0.9)
         assert fidelity(out.state) == pytest.approx(expected_f, abs=TOL)
-        assert out.success_prob == pytest.approx(expected_q, abs=TOL)
+        assert q == pytest.approx(expected_q, abs=TOL)
 
     def test_fixed_fodder_pumps_to_unity_with_perfect_ops(self):
         cfg = make_config(span=3)
         state = from_fidelity(0.9, 0.0)
-        b = PairRecord("B", 3, state, 1.0, 1.0)
-        c = PairRecord("C", 3, state, 1.0, 1.0)
+        b = PairRecord("B", 3, state, Duration(1.0))
+        c = PairRecord("C", 3, state, Duration(1.0))
         out, probs = pump(b, c, 200, cfg)
         assert len(probs) == 200
         assert fidelity(out.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_span_mismatch_rejected(self):
         cfg = make_config(span=3)
-        b = PairRecord("B", 3, from_fidelity(0.9, 0.0), 1.0, 1.0)
-        c = PairRecord("C", 5, from_fidelity(0.9, 0.0), 1.0, 1.0)
+        b = PairRecord("B", 3, from_fidelity(0.9, 0.0), Duration(1.0))
+        c = PairRecord("C", 5, from_fidelity(0.9, 0.0), Duration(1.0))
         for m in (0, 1):
             with pytest.raises(ValueError, match="span"):
                 pump(b, c, m, cfg)
 
     def test_unpurifiable_raises_with_level(self):
         cfg = make_config(span=3)
-        b = PairRecord("B", 3, from_fidelity(1.0, 0.0), 1.0, 1.0)
-        c = PairRecord("C", 3, from_fidelity(0.0, 0.0), 1.0, 1.0)
+        b = PairRecord("B", 3, from_fidelity(1.0, 0.0), Duration(1.0))
+        c = PairRecord("C", 3, from_fidelity(0.0, 0.0), Duration(1.0))
         with pytest.raises(ProtocolError, match="level 4"):
             pump(b, c, 1, cfg, level=4)
 
@@ -373,9 +372,9 @@ def reference_monte_carlo_samples(config, rng, trials):
     zero-started totals and index arrays for every trial."""
     prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
     unit = config.link.attempt_duration_s
-    tc = config.link.tc_s
+    tc = config.link.classical_time_s
     ladder = Ladder(config)
-    ladder.pair(len(config.schedule))
+    ladder.pair(config.depth)
     levels = ladder.levels
 
     def sample_links(count, racers):
@@ -434,7 +433,7 @@ def sampler_config(span, m, f0, tc_s):
         t0_s=1e-6, tc_s=tc_s,
     )
     if isinstance(m, tuple):
-        m = m[: len(default_schedule(span))]
+        m = m[: nesting_depth(span)]
     return ProtocolConfig(link, NoiseParams(0.999, 0.999), m=m, target_span=span, f0=f0)
 
 
