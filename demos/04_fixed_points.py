@@ -51,8 +51,7 @@ for upsilon in (0.0, 0.1, 0.2, 0.3):
     print(f"  upsilon = {upsilon:<4} F_inf = {asym.value:.6f}")
 
 print("\ngate quality sweep at F0 = 0.98 (p = eta jointly):")
-table = sweep(config(0.98), {"p_eta": [1.0, 0.9975, 0.995, 0.9925]})
-for row in table.rows:
+for row in sweep(config(0.98), {"p_eta": [1.0, 0.9975, 0.995, 0.9925]}):
     note = "" if row["f_inf"] > 0.5 else "  <- entanglement lost at depth"
     print(f"  p = eta = {row['p_eta']:<7} F(15 spans) = {row['fidelity']:.6f}   "
           f"F_inf = {row['f_inf']:.6f}{note}")

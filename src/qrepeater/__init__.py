@@ -42,7 +42,6 @@ from .protocol import (
 )
 from .analysis import (
     FixedPointResult,
-    SweepTable,
     asymptotic_fidelity,
     fixed_point_at_distance,
     sweep,

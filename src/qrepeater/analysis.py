@@ -9,7 +9,9 @@ computed here by direct iteration of the same maps the protocol uses,
 reading the levels of one :class:`~qrepeater.protocol.Ladder` per config
 that also keeps the fixed point at each depth.  Both stop by the module
 constants: FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed point,
-ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.
+ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.  A sweep
+resolves every grid point first, groups the points by ladder and walks
+one ladder at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .protocol import (
     Level,
     PairRecord,
     ProtocolConfig,
-    ProtocolError,
     nesting_depth,
     pumping_depth,
 )
@@ -49,13 +50,8 @@ class FixedPointResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Cartesian-product sweep results: ``axes`` names the grids in
-    order, ``rows`` holds one record per grid point (lexicographic)."""
-
-    axes: tuple[tuple[str, tuple], ...]
-    rows: tuple[dict, ...]
+#: A failed sweep point's result columns; its ``error`` holds the message.
+_NO_RESULT = dict.fromkeys(("fidelity", "f_fp", "f_inf", "expected_time_s"))
 
 
 def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
@@ -175,49 +171,37 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 
 
-def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> SweepTable:
+def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> tuple[dict, ...]:
     """Evaluate the protocol, its fixed point and its asymptote on every
-    point of the cartesian grid.  Points that differ only in target span
-    share one ladder walk, so each level, its fixed point and the
-    asymptote are built once; a walk is dropped after the last point that
-    reads it.  Per-point failures are recorded in the row's ``error``
-    field and the sweep continues."""
+    point of the cartesian grid; one row per point, in lexicographic
+    order, holding the point's axis values and its results.  Every point
+    is resolved first and grouped by its ladder; then one walk per group
+    is built, read by that group's points and dropped before the next, so
+    each level, its fixed point and the asymptote are built once and one
+    walk is alive at a time.  A point that fails records the message in
+    its row's ``error`` field and the sweep continues."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
-    names = list(axes.keys())
-    grids = [tuple(axes[name]) for name in names]
-    rows = [dict(zip(names, point)) for point in itertools.product(*grids)]
-    configs = []
-    for row in rows:
-        try:
-            configs.append(apply_overrides(base_config, **row))
-        except (ValueError, ProtocolError) as exc:
-            configs.append(str(exc))  # not exc: its traceback holds this frame
+    rows = tuple(dict(zip(axes, point)) for point in itertools.product(*axes.values()))
     # The ladder does not depend on the target span (a per-level m is
     # already stretched to it), so the other four fields key its walk.
-    keys = [
-        (cfg.link, cfg.noise, cfg.m, cfg.f0) if isinstance(cfg, ProtocolConfig) else None
-        for cfg in configs
-    ]
-    last_use = {key: i for i, key in enumerate(keys)}
-    walks: dict[tuple, _Walk] = {}
-    for i, (row, cfg, key) in enumerate(zip(rows, configs, keys)):
+    groups: dict[tuple, list[tuple[dict, ProtocolConfig]]] = {}
+    for row in rows:
         try:
-            if key is None:
-                raise ValueError(cfg)
-            walk = walks[key] = walks.get(key) or _Walk(cfg)
-            final, fp = walk.pair(cfg.depth), walk.fixed_point(cfg.depth)
-            row.update(
-                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=walk.asymptote().value,
-                expected_time_s=final.time.mean, error="",
-            )
-        except (ValueError, ProtocolError) as exc:
-            row.update(
-                fidelity=None, f_fp=None, f_inf=None, expected_time_s=None, error=str(exc)
-            )
-        if last_use[key] == i:
-            walks.pop(key, None)
-    return SweepTable(
-        axes=tuple((name, tuple(axes[name])) for name in names),
-        rows=tuple(rows),
-    )
+            cfg = apply_overrides(base_config, **row)
+        except ValueError as exc:
+            row.update(_NO_RESULT, error=str(exc))
+            continue
+        groups.setdefault((cfg.link, cfg.noise, cfg.m, cfg.f0), []).append((row, cfg))
+    for points in groups.values():
+        walk = _Walk(points[0][1])
+        for row, cfg in points:
+            try:
+                final, fp = walk.pair(cfg.depth), walk.fixed_point(cfg.depth)
+                row.update(
+                    fidelity=fidelity(final.state), f_fp=fp.value, f_inf=walk.asymptote().value,
+                    expected_time_s=final.time.mean, error="",
+                )
+            except ValueError as exc:
+                row.update(_NO_RESULT, error=str(exc))
+    return rows

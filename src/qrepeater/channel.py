@@ -126,8 +126,6 @@ class PhotonOracleResult:
     f0_hat: float
     p_se: float
     f0_se: float
-    trials: int
-    successes: int
 
 
 def photon_mode_oracle(
@@ -164,12 +162,12 @@ def photon_mode_oracle(
     p_hat = successes / trials
     p_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     if successes == 0:
-        return PhotonOracleResult(p_hat, math.nan, p_se, math.nan, trials, 0)
+        return PhotonOracleResult(p_hat, math.nan, p_se, math.nan)
     lost_counts = rng.poisson(p_em * (1.0 - eps), size=successes)
     contrib = np.where(lost_counts == 0, 1.0, 0.5)
     f0_hat = float(contrib.mean())
     f0_se = float(contrib.std(ddof=1) / math.sqrt(successes)) if successes > 1 else math.nan
-    return PhotonOracleResult(p_hat, f0_hat, p_se, f0_se, trials, successes)
+    return PhotonOracleResult(p_hat, f0_hat, p_se, f0_se)
 
 
 def check_sampler_args(seed: int, trials: int) -> None:

@@ -28,7 +28,7 @@ from .channel import (
     photon_mode_oracle,
 )
 from .config import FIELD_TYPES, RunConfig, format_resolved, load_config, parse_config_file
-from .protocol import ProtocolError, round_span_up, run_protocol
+from .protocol import round_span_up, run_protocol
 
 #: Singlet fidelity above which a Werner-type pair violates the CHSH
 #: inequality: (1 + 3/sqrt(2))/4 rounded to the conventional 0.78.
@@ -65,9 +65,8 @@ def _render_csv(config: RunConfig, command: str, header: list[str], rows: list[l
 
 def _sweep_csv(config: RunConfig, command: str, axes: dict, columns: list[str]) -> str:
     """The sweep table over ``axes``: the axis values, then ``columns``."""
-    table = sweep(config.protocol_config(), axes)
-    header = [name for name, _ in table.axes] + columns
-    rows = [[row[key] for key in header] for row in table.rows]
+    header = [*axes, *columns]
+    rows = [[row[key] for key in header] for row in sweep(config.protocol_config(), axes)]
     return _render_csv(config, command, header, rows)
 
 
@@ -277,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             with open(args.out, "w", newline="") as handle:
                 handle.write(text)
-    except (ValueError, ProtocolError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if not args.out:

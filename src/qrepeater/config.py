@@ -54,16 +54,20 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+_HINTS = get_type_hints(RunConfig)
+
 #: Every run parameter and its scalar type (``X | None`` reads as X), in
 #: field order: the config-file keys and the CLI's per-key flags.
-FIELD_TYPES = {
-    name: (get_args(hint) or (hint,))[0]
-    for name, hint in get_type_hints(RunConfig).items()
-}
+FIELD_TYPES = {name: (get_args(hint) or (hint,))[0] for name, hint in _HINTS.items()}
+
+#: The parameters that may be unset; a config file gives them as ``None``,
+#: as --print-config writes them.
+NULLABLE = frozenset(name for name, hint in _HINTS.items() if type(None) in get_args(hint))
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Parse a flat key=value file into typed values.
+    """Parse a flat key=value file into typed values (``None`` for an
+    unset NULLABLE key).
 
     Raises ValueError with file/line context for syntax errors, unknown
     keys, duplicates and unparsable values.
@@ -87,7 +91,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         caster = FIELD_TYPES[key]
         try:
-            values[key] = caster(value)
+            values[key] = None if value == "None" and key in NULLABLE else caster(value)
         except ValueError as exc:
             raise ValueError(
                 f"{path}:{lineno}: cannot parse {key!r} value {value!r} as {caster.__name__}"

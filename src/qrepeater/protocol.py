@@ -45,9 +45,10 @@ from .timing import (
 np = None
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(ValueError):
     """A protocol construction failed (for example an unpurifiable pump
-    step); the message carries the nesting-level context."""
+    step); the message carries the nesting-level context.  A ValueError,
+    so one ``except ValueError`` catches every bad-input failure."""
 
 
 def nesting_depth(target_span: int) -> int:

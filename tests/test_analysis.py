@@ -157,9 +157,9 @@ class TestApplyOverrides:
 class TestSweep:
     def test_single_point_equals_direct_evaluation(self):
         base = make_config(f0=0.98)
-        table = sweep(base, {"m": [3]})
-        assert len(table.rows) == 1
-        row = table.rows[0]
+        rows = sweep(base, {"m": [3]})
+        assert len(rows) == 1
+        row = rows[0]
         direct = run_protocol(base)
         assert row["fidelity"] == pytest.approx(
             fidelity(direct.final.state), abs=1e-12
@@ -170,18 +170,18 @@ class TestSweep:
         assert row["error"] == ""
 
     def test_lexicographic_order_and_coordinates(self):
-        table = sweep(make_config(f0=0.98), {"m": [1, 2], "upsilon": [0.0, 0.1]})
-        coords = [(r["m"], r["upsilon"]) for r in table.rows]
+        rows = sweep(make_config(f0=0.98), {"m": [1, 2], "upsilon": [0.0, 0.1]})
+        coords = [(r["m"], r["upsilon"]) for r in rows]
         assert coords == [(1, 0.0), (1, 0.1), (2, 0.0), (2, 0.1)]
 
     def test_f0_ordering_preserved_across_spans(self):
         # higher initial fidelity always wins at the same span
-        table = sweep(
+        rows = sweep(
             make_config(),
             {"f0": [0.96, 0.98, 1.0], "target_span": [3, 7, 15]},
         )
         by_span = {}
-        for row in table.rows:
+        for row in rows:
             by_span.setdefault(row["target_span"], []).append(row["fidelity"])
         for span, fids in by_span.items():
             assert fids == sorted(fids)
@@ -192,8 +192,8 @@ class TestSweep:
         assert t1 == t2
 
     def test_per_point_failure_recorded(self):
-        table = sweep(make_config(f0=0.98), {"target_span": [7, 10]})
-        good, bad = table.rows
+        rows = sweep(make_config(f0=0.98), {"target_span": [7, 10]})
+        good, bad = rows
         assert good["error"] == ""
         assert "2^k" in bad["error"]
         assert bad["fidelity"] is None
@@ -202,8 +202,8 @@ class TestSweep:
         # A per-level m cut to span 1's depth is empty, and the asymptote
         # still needs level 0's depth.
         base = apply_overrides(make_config(f0=0.98), m=(1, 2), target_span=7)
-        table = sweep(base, {"target_span": [1, 3]})
-        short, full = table.rows
+        rows = sweep(base, {"target_span": [1, 3]})
+        short, full = rows
         assert "level 0" in short["error"] and short["f_inf"] is None
         assert full["error"] == ""
 
@@ -214,8 +214,8 @@ class TestSweep:
             sweep(make_config(), {"m": []})
 
     def test_error_free_limit_everywhere(self):
-        table = sweep(perfect_config(span=7), {"m": [0, 3]})
-        for row in table.rows:
+        rows = sweep(perfect_config(span=7), {"m": [0, 3]})
+        for row in rows:
             assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
             assert row["f_fp"] == pytest.approx(1.0, abs=1e-9)
             assert row["f_inf"] == pytest.approx(1.0, abs=1e-9)
@@ -340,29 +340,29 @@ class TestLadderMatchesFromScratchDefinition:
         # m = (2, 0) stretches to (2,) at span 3 but (2, 0) at span 7: the
         # two asymptotes differ and must not be merged.
         base = make_config(f0=0.98, m=(2, 0), span=7)
-        table = sweep(base, {"target_span": [3, 7, 15], "f0": [0.97, 0.98]})
-        for row in table.rows:
+        rows = sweep(base, {"target_span": [3, 7, 15], "f0": [0.97, 0.98]})
+        for row in rows:
             cfg = apply_overrides(base, target_span=row["target_span"], f0=row["f0"])
             assert row["error"] == ""
             assert row["f_fp"] == reference_fixed_point(cfg, cfg.target_span).value
             assert row["f_inf"] == reference_asymptote(cfg).value
-        f_inf = {row["target_span"]: row["f_inf"] for row in table.rows if row["f0"] == 0.98}
+        f_inf = {row["target_span"]: row["f_inf"] for row in rows if row["f0"] == 0.98}
         assert f_inf[3] != f_inf[7]
         # A per-level m is stretched by reusing its last entry and cut to
         # the new depth; one cut to span 1 is empty and stretches to nothing.
         assert apply_overrides(base, m=(1, 2), target_span=31).m == (1, 2, 2, 2)
         assert apply_overrides(base, m=(1, 2), target_span=3).m == (1,)
         empty = apply_overrides(base, m=(1, 2), target_span=1)
-        for row in sweep(empty, {"target_span": [3, 7]}).rows:
+        for row in sweep(empty, {"target_span": [3, 7]}):
             assert "per-level m" in row["error"] and row["f_inf"] is None
 
     def test_sweep_repeats_a_failed_asymptote(self):
         # At span 1 the protocol and its fixed point need no pumping, but
         # the asymptote's first level is unpurifiable.
-        table = sweep(unpurifiable_config(3, span=1), {"target_span": [1, 1]})
+        rows = sweep(unpurifiable_config(3, span=1), {"target_span": [1, 1]})
         expected = outcome(reference_asymptote, unpurifiable_config(3, span=1))
         assert expected[0] == "ProtocolError"
-        for row in table.rows:
+        for row in rows:
             assert row["error"] == expected[1]
             assert row["f_inf"] is None
 
@@ -470,7 +470,7 @@ class TestSweepSharesOneWalkPerLadder:
     @pytest.mark.parametrize("name", sorted(SHARED_WALK_GRIDS))
     def test_rows_equal_per_point_reference(self, name):
         base, axes = SHARED_WALK_GRIDS[name]
-        rows = sweep(base, axes).rows
+        rows = sweep(base, axes)
         expected = per_point_sweep_rows(base, axes)
         assert rows == expected
         assert repr(rows) == repr(expected)
@@ -515,7 +515,10 @@ class TestSweepSharesOneWalkPerLadder:
         # A walk is kept while any later point still reads its key.
         self.assert_builds_each_level_once(monkeypatch, README_AXES_SPANS_FIRST)
 
-    def test_walk_released_after_its_last_point(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "axes", [README_AXES, README_AXES_SPANS_FIRST], ids=["readme", "readme_spans_first"]
+    )
+    def test_walk_released_after_its_last_point(self, axes, monkeypatch):
         made = []
 
         class TrackedWalk(analysis._Walk):
@@ -529,7 +532,7 @@ class TestSweepSharesOneWalkPerLadder:
                 return super().asymptote()
 
         monkeypatch.setattr(analysis, "_Walk", TrackedWalk)
-        sweep(make_config(), README_AXES)
+        sweep(make_config(), axes)
         assert len(made) == len(README_AXES["f0"])
         assert all(ref() is None for ref in made)
 
@@ -612,9 +615,9 @@ class TestSweepSharesOneWalkPerLadder:
         monkeypatch.setattr(analysis, "_Walk", TrackedWalk)
         gc.disable()
         try:
-            table = sweep(base, axes)
+            rows = sweep(base, axes)
             alive = [ref() is not None for ref in made]
         finally:
             gc.enable()
-        assert any(row["error"] for row in table.rows)
+        assert any(row["error"] for row in rows)
         assert alive and not any(alive)

@@ -102,6 +102,15 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=r"^seed must be an int >= 0, got -3$"):
             load_config(path)
 
+    def test_none_only_for_keys_that_may_be_unset(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("f0 = None\ntc_s = None\n")
+        assert parse_config_file(path) == {"f0": None, "tc_s": None}
+        assert load_config(path) == load_config(None)
+        path.write_text("m = None\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:1: cannot parse 'm' value 'None' as int"):
+            parse_config_file(path)
+
     def test_trials_message_kept(self):
         with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
             load_config(None, {"trials": 0})
@@ -247,6 +256,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "m = 1" in out
+
+    @pytest.mark.parametrize("command", ["link", "simulate", "fixed-point", "headline"])
+    def test_print_config_is_a_config_file(self, command, tmp_path, capsys):
+        # The defaults leave f0 and tc_s unset, which --print-config writes as None.
+        assert main([command, "--print-config"]) == 0
+        printed = capsys.readouterr().out
+        assert "f0 = None" in printed and "tc_s = None" in printed
+        path = tmp_path / "printed.cfg"
+        path.write_text(printed)
+        assert main([command]) == 0
+        plain = capsys.readouterr().out
+        assert main([command, "--config", str(path)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_flag_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

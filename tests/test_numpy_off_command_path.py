@@ -49,6 +49,7 @@ COMMANDS = [
     (["simulate"], 0),
     (["fixed-point"], 0),
     (["sweep", "--axis", "f0=0.98,1.0"], 0),
+    (["sweep", "--axis", "l0_km=20,5000"], 0),
     (["link"], 0),
     (["simulate", "--print-config"], 0),
     (["--help"], 0),

@@ -231,6 +231,8 @@ class TestPump:
         c = PairRecord("C", 3, from_fidelity(0.0, 0.0), Duration(1.0))
         with pytest.raises(ProtocolError, match="level 4"):
             pump(b, c, 1, cfg, level=4)
+        # One ``except ValueError`` catches bad input and failed builds alike.
+        assert issubclass(ProtocolError, ValueError)
 
 
 class TestRunProtocol:
