@@ -9,9 +9,8 @@ computed here by direct iteration of the same maps the protocol uses,
 reading the levels of one :class:`~qrepeater.protocol.Ladder` per config
 that also keeps the fixed point at each depth.  Both stop by the module
 constants: FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed point,
-ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.  A sweep
-resolves every grid point first, groups the points by ladder and walks
-one ladder at a time.
+ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.  A fixed
+point pumps plain float weights (:func:`~qrepeater.ops.purify_weights`).
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
-from .bell import fidelity
+from .bell import fidelity, normalise, weights_of
 from .channel import LinkParams
-from .ops import NoiseParams, purify
+from .ops import NoiseParams, purify, purify_weights  # noqa: F401  (bench/tests reads it)
 from .protocol import (
     Ladder,
     Level,
@@ -57,15 +56,15 @@ _NO_RESULT = dict.fromkeys(("fidelity", "f_fp", "f_inf", "expected_time_s"))
 def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
     """Pump the level's stored B pair with its C fodder until two
     successive rounds each move the fidelity by at most FIXED_POINT_TOL."""
-    state = level.b.state
-    value = fidelity(state)
+    weights, fodder = weights_of(level.b.state), weights_of(level.c.state)
+    value = weights[0]
     small_steps = 0
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        outcome = purify(state, level.c.state, noise)
-        if not outcome.purifiable:
+        raw, _ = purify_weights(weights, fodder, noise)
+        if raw is None:
             return FixedPointResult(value, iteration, False)
-        state = outcome.state
-        new_value = fidelity(state)
+        weights = normalise(raw)
+        new_value = weights[0]
         delta = abs(new_value - value)
         value = new_value
         # The pumping map alternates error types between rounds, so one

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -51,12 +52,8 @@ class BellDiagonalState:
 
     @classmethod
     def from_weights(cls, w) -> "BellDiagonalState":
-        """Build a state from a length-4 weight vector, renormalising away
-        float round-off (values clipped to [0, 1], sum rescaled to 1).
-        A list of four floats, as the kernels pass, is read directly; any
-        other input goes through ``np.asarray``.  Nonnegative weights skip
-        the clip: a sum of nonnegative floats never rounds below any of its
-        terms, so each ``x / total`` already lies in [0, 1]."""
+        """Build a state from a length-4 weight vector by :func:`normalise`;
+        a list of four floats, as the kernels pass, skips ``np.asarray``."""
         if type(w) is not list or len(w) != 4 or not (
             type(w[0]) is type(w[1]) is type(w[2]) is type(w[3]) is float
         ):
@@ -66,20 +63,32 @@ class BellDiagonalState:
             if w.shape != (4,):
                 raise ValueError(f"expected 4 Bell weights, got shape {w.shape}")
             w = w.tolist()
-        w0, w1, w2, w3 = w
-        lo = min(w0, w1, w2, w3)
-        if lo < -ATOL:
-            raise ValueError(f"Bell weights must be nonnegative, got {w}")
-        total = 0.0 + w0 + w1 + w2 + w3
-        if not math.isfinite(total):
-            raise ValueError(f"Bell weights and their sum must be finite, got {w}")
-        if total <= 0.0:
-            raise ValueError("Bell weights sum to zero; state undefined")
-        w0, w1, w2, w3 = w0 / total, w1 / total, w2 / total, w3 / total
-        if lo < 0.0:
-            w0, w1, w2, w3 = (min(max(x, 0.0), 1.0) for x in (w0, w1, w2, w3))
-        total = 0.0 + w0 + w1 + w2 + w3
-        return cls(w0 / total, w1 / total, w2 / total, w3 / total)
+        return cls(*normalise(w))
+
+
+#: A state's four weights as a tuple, in basis order.
+weights_of = attrgetter("w_psi_minus", "w_psi_plus", "w_phi_plus", "w_phi_minus")
+
+
+def normalise(w) -> tuple[float, float, float, float]:
+    """Four weights with float round-off removed, as for a new state: clipped
+    to [0, 1], sum rescaled to 1.  Loops keep a pair as these floats between
+    rounds.  Nonnegative weights skip the clip: a sum of nonnegative floats
+    never rounds below a term, so each ``x / total`` already lies in [0, 1]."""
+    w0, w1, w2, w3 = w
+    lo = min(w0, w1, w2, w3)
+    if lo < -ATOL:
+        raise ValueError(f"Bell weights must be nonnegative, got {[w0, w1, w2, w3]}")
+    total = 0.0 + w0 + w1 + w2 + w3
+    if not math.isfinite(total):
+        raise ValueError(f"Bell weights and their sum must be finite, got {[w0, w1, w2, w3]}")
+    if total <= 0.0:
+        raise ValueError("Bell weights sum to zero; state undefined")
+    w0, w1, w2, w3 = w0 / total, w1 / total, w2 / total, w3 / total
+    if lo < 0.0:
+        w0, w1, w2, w3 = (min(max(x, 0.0), 1.0) for x in (w0, w1, w2, w3))
+    total = 0.0 + w0 + w1 + w2 + w3
+    return w0 / total, w1 / total, w2 / total, w3 / total
 
 
 def from_fidelity(fidelity: float, upsilon: float) -> BellDiagonalState:

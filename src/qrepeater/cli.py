@@ -145,31 +145,18 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     eps = channel_efficiency(pcfg.link)
     result = run_protocol(pcfg)
     fid = fidelity(result.final.state)
-    rows = [
-        [
-            distance_km,
-            span,
-            span * config.l0_km,
-            eps,
-            initial_fidelity(pcfg.link.p_em, eps),
-            fid,
-            result.total_expected_time,
-            BELL_VIOLATION_FIDELITY,
-            fid > BELL_VIOLATION_FIDELITY,
-        ]
-    ]
-    header = [
-        "requested_distance_km",
-        "span_segments",
-        "distance_km",
-        "efficiency",
-        "initial_fidelity",
-        "fidelity",
-        "expected_time_s",
-        "bell_violation_threshold",
-        "violates_bell",
-    ]
-    return _render_csv(config, "headline", header, rows)
+    columns = {
+        "requested_distance_km": distance_km,
+        "span_segments": span,
+        "distance_km": span * config.l0_km,
+        "efficiency": eps,
+        "initial_fidelity": initial_fidelity(pcfg.link.p_em, eps),
+        "fidelity": fid,
+        "expected_time_s": result.total_expected_time,
+        "bell_violation_threshold": BELL_VIOLATION_FIDELITY,
+        "violates_bell": fid > BELL_VIOLATION_FIDELITY,
+    }
+    return _render_csv(config, "headline", list(columns), [list(columns.values())])
 
 
 #: Command-level defaults for the headline scenario: 8% emission, a

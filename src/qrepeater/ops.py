@@ -9,15 +9,16 @@ agree to 1e-12.
 Index convention throughout: 0=Psi-, 1=Psi+, 2=Phi+, 3=Phi-.  Each Bell
 state carries an (amplitude, phase) bit pair -- Psi-=(1,1), Psi+=(1,0),
 Phi+=(0,0), Phi-=(0,1) -- and local Pauli errors act by XOR on these
-bits, which is what :func:`_xor_convolve` and :func:`swap` spell out.
+bits, which is what :func:`_xor_convolve` and :func:`swap_weights` spell out.
+The round kernels :func:`purify_weights` and :func:`swap_weights` work on
+plain float 4-tuples; a state is built only for a pair that is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .bell import BellDiagonalState
+from .bell import BellDiagonalState, normalise, weights_of
 
 #: Threshold below which a purification acceptance probability is treated
 #: as zero and the outcome reported unpurifiable instead of renormalised.
@@ -86,8 +87,15 @@ def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Pu
     Returns the conditioned surviving state and the total acceptance
     probability over both accepting outcome patterns.
     """
-    a0, a1, a2, a3 = a.w_psi_minus, a.w_psi_plus, a.w_phi_plus, a.w_phi_minus
-    b0, b1, b2, b3 = b.w_psi_minus, b.w_psi_plus, b.w_phi_plus, b.w_phi_minus
+    w, success = purify_weights(weights_of(a), weights_of(b), noise)
+    return PurifyOutcome(None if w is None else BellDiagonalState.from_weights(w), success)
+
+
+def purify_weights(a, b, noise: NoiseParams) -> tuple[list | None, float]:
+    """:func:`purify` on weight 4-tuples: the kept pair's weights before
+    renormalisation (None when unpurifiable) and the acceptance probability."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
     p2 = noise.p**2
     eta = noise.eta
     g_same = eta**2 + (1.0 - eta) ** 2  # reported-equal given true-equal
@@ -101,9 +109,8 @@ def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Pu
     u3 = p2 * (g_same * (a1 * b1 + a3 * b3) + g_cross * (a1 * b2 + a3 * b0)) + floor
     success = min(0.0 + u0 + u1 + u2 + u3, 1.0)  # clamp float round-off
     if success < MIN_SUCCESS_PROB:
-        return PurifyOutcome(state=None, success_prob=success)
-    weights = [u0 / success, u1 / success, u2 / success, u3 / success]
-    return PurifyOutcome(state=BellDiagonalState.from_weights(weights), success_prob=success)
+        return None, success
+    return [u0 / success, u1 / success, u2 / success, u3 / success], success
 
 
 def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> BellDiagonalState:
@@ -115,12 +122,14 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
     deterministic.  Independent flips of the two outcome bits appear as
     an extra X / Z error convolved onto the result.
     """
+    return BellDiagonalState.from_weights(swap_weights(weights_of(a), weights_of(b), noise))
+
+
+def swap_weights(a, b, noise: NoiseParams) -> list:
+    """:func:`swap` on weight 4-tuples: the weights before renormalisation."""
     eta, p = noise.eta, noise.p
     flip = 1.0 - eta
-    errors = _xor_convolve(
-        (a.w_psi_minus, a.w_psi_plus, a.w_phi_plus, a.w_phi_minus),
-        (b.w_psi_minus, b.w_psi_plus, b.w_phi_plus, b.w_phi_minus),
-    )
+    errors = _xor_convolve(a, b)
     # Measurement errors: both outcome bits flipped (Psi-), the amplitude
     # bit only, neither, the phase bit only.
     i0, i1, i2, i3 = _xor_convolve(errors, (flip * flip, flip * eta, eta * eta, eta * flip))
@@ -128,15 +137,18 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
     # correction includes a Y (Psi- <-> Phi+, Psi+ <-> Phi-) that moves the
     # target back to Psi-.
     floor = (1.0 - p) / 4.0
-    return BellDiagonalState.from_weights(
-        [p * i2 + floor, p * i3 + floor, p * i0 + floor, p * i1 + floor]
-    )
+    return [p * i2 + floor, p * i3 + floor, p * i0 + floor, p * i1 + floor]
 
 
 def connect_chain(pairs, noise: NoiseParams) -> BellDiagonalState:
     """Left fold of :func:`swap` over an ordered list of pairs, producing
-    one pair spanning the whole chain."""
+    one pair spanning the whole chain; a single pair is returned as is."""
     pairs = list(pairs)
-    if not pairs:
-        raise ValueError("connect_chain requires at least one pair")
-    return reduce(lambda acc, nxt: swap(acc, nxt, noise), pairs)
+    if len(pairs) < 2:
+        if not pairs:
+            raise ValueError("connect_chain requires at least one pair")
+        return pairs[0]
+    w = weights_of(pairs[0])
+    for pair in pairs[1:-1]:
+        w = normalise(swap_weights(w, weights_of(pair), noise))
+    return BellDiagonalState.from_weights(swap_weights(w, weights_of(pairs[-1]), noise))

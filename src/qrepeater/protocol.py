@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .bell import BellDiagonalState, from_fidelity
+from .bell import BellDiagonalState, from_fidelity, normalise, weights_of
 from .channel import (
     LinkParams,
     channel_efficiency,
@@ -32,7 +32,7 @@ from .channel import (
     entangle_success_prob,
     link_state,
 )
-from .ops import NoiseParams, connect_chain, purify, swap
+from .ops import NoiseParams, connect_chain, purify, purify_weights, swap
 from .timing import (
     Duration,
     max_all,
@@ -276,19 +276,19 @@ def pump(
         )
     if m == 0:
         return PairRecord("A", b.span, b.state, b.time), ()
-    state = b.state
+    weights, fodder = weights_of(b.state), weights_of(c.state)
     probs: list[float] = []
     for step in range(m):
-        outcome = purify(state, c.state, config.noise)
-        if not outcome.purifiable:
+        raw, success = purify_weights(weights, fodder, config.noise)
+        if raw is None:
             raise ProtocolError(
                 f"unpurifiable pump step {step + 1}{where}: acceptance"
-                f" probability {outcome.success_prob:.3e}"
+                f" probability {success:.3e}"
             )
-        state = outcome.state
-        probs.append(outcome.success_prob)
+        weights = normalise(raw)
+        probs.append(success)
     time = restarting_rounds(b.time, c.time, config.link.classical_time_s, probs)
-    return PairRecord("A", b.span, state, time), tuple(probs)
+    return PairRecord("A", b.span, BellDiagonalState(*weights), time), tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -326,6 +326,8 @@ class Ladder:
 
     def pair(self, depth: int) -> PairRecord:
         """The A pair over span 2^depth - 1; depth 0 is the elementary pair."""
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth!r}")
         config, levels = self.config, self.levels
         while len(levels) < depth:
             idx = len(levels)

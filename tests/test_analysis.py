@@ -584,6 +584,19 @@ class TestSweepSharesOneWalkPerLadder:
         assert fixed_point_at_distance(cfg, 63) == reference_fixed_point(cfg, 63)
         assert asymptotic_fidelity(cfg) == reference_asymptote(cfg)
 
+    def test_negative_depth_rejected(self):
+        cfg = make_config(f0=0.98, span=7)
+        fresh = analysis._Walk(cfg)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            fresh.fixed_point(-1)
+        walk = analysis._Walk(cfg)
+        deepest = walk.fixed_point(3)
+        # Before the check, -1 read the last level and kept its fixed point under -1.
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            walk.fixed_point(-1)
+        assert sorted(walk._fixed_points) == [3] and walk.fixed_point(3) is deepest
+        assert walk.fixed_point(3) == reference_fixed_point(cfg, 15)
+
     def test_failed_level_raises_again_for_deeper_levels(self):
         cfg = unpurifiable_config(3, span=15)
         first = outcome(fixed_point_at_distance, cfg, 7)

@@ -280,6 +280,21 @@ class TestRunProtocol:
         assert fidelity(result.final.state) == pytest.approx(0.98, abs=TOL)
 
 
+class TestLadder:
+    def test_negative_depth_rejected(self):
+        cfg = make_config(f0=0.98, p=0.995, eta=0.995, span=7)
+        fresh = Ladder(cfg)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            fresh.pair(-1)
+        assert fresh.levels == []
+        built = Ladder(cfg)
+        top = built.pair(3)
+        # Before the check, -1 indexed the last level and returned its pair.
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            built.pair(-1)
+        assert len(built.levels) == 3 and built.pair(3) is top
+
+
 class TestExpectedTimePolynomialGrowth:
     def test_level_ratio_bounded(self):
         times = []
