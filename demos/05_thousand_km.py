@@ -17,9 +17,9 @@ from qrepeater import (
     fidelity,
     initial_fidelity,
     round_span_up,
-    run_protocol,
 )
 from qrepeater.cli import BELL_VIOLATION_FIDELITY
+from qrepeater.protocol import Ladder
 
 link = LinkParams(
     l0_km=20.0,
@@ -34,19 +34,21 @@ span = round_span_up(math.ceil(1000.0 / link.l0_km))
 cfg = ProtocolConfig(
     link=link, noise=NoiseParams(0.995, 0.995, 0.0), m=1, target_span=span
 )
-result = run_protocol(cfg)
-final_f = fidelity(result.final.state)
+ladder = Ladder(cfg)
+total_time = ladder.time(cfg.depth).mean
+final_f = fidelity(ladder.pair(cfg.depth).state)
 
 print(f"declared efficiency   : {eps:.4f}")
 print(f"elementary fidelity   : {initial_fidelity(link.p_em, eps):.4f}")
 print(f"schedule              : spans {[2**k - 1 for k in range(2, cfg.depth + 2)]}")
 print(f"covered distance      : {span * link.l0_km:.0f} km")
 print(f"final fidelity        : {final_f:.4f}")
-print(f"expected total time   : {result.total_expected_time:.2f} s")
+print(f"expected total time   : {total_time:.2f} s")
 verdict = "yes" if final_f > BELL_VIOLATION_FIDELITY else "no"
 print(f"violates CHSH (> {BELL_VIOLATION_FIDELITY})? {verdict}")
 
 print("\nper-level trace:")
 print("span  fidelity   expected time")
-for rec in result.per_level:
-    print(f"{rec.span:<5} {fidelity(rec.state):<10.5f} {rec.time.mean:.4g} s")
+for depth in range(1, cfg.depth + 1):
+    rec = ladder.pair(depth)
+    print(f"{rec.span:<5} {fidelity(rec.state):<10.5f} {ladder.time(depth).mean:.4g} s")

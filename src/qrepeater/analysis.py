@@ -11,6 +11,7 @@ that also keeps the fixed point at each depth.  Both stop by the module
 constants: FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed point,
 ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.  A fixed
 point pumps plain float weights (:func:`~qrepeater.ops.purify_weights`).
+Fixed points and the asymptote read states only, never a time.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .protocol import (
     nesting_depth,
     pumping_depth,
 )
+from .timing import Duration
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 10_000
@@ -136,11 +138,13 @@ def asymptotic_fidelity(config: ProtocolConfig) -> FixedPointResult:
     return _walk(config).asymptote()
 
 
-def prefix_fixed_points(config: ProtocolConfig) -> list[tuple[PairRecord, FixedPointResult]]:
-    """The purified pair and the fixed point at every depth up to the
-    config's, span 1 first, read from one ladder."""
+def prefix_fixed_points(
+    config: ProtocolConfig,
+) -> list[tuple[PairRecord, Duration, FixedPointResult]]:
+    """The purified pair, its time and the fixed point at every depth up
+    to the config's, span 1 first, read from one ladder."""
     walk = _walk(config)
-    return [(walk.pair(d), walk.fixed_point(d)) for d in range(config.depth + 1)]
+    return [(walk.pair(d), walk.time(d), walk.fixed_point(d)) for d in range(config.depth + 1)]
 
 
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
@@ -196,10 +200,10 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> tuple[di
         walk = _Walk(points[0][1])
         for row, cfg in points:
             try:
-                final, fp = walk.pair(cfg.depth), walk.fixed_point(cfg.depth)
+                time, fp = walk.time(cfg.depth), walk.fixed_point(cfg.depth)
                 row.update(
-                    fidelity=fidelity(final.state), f_fp=fp.value, f_inf=walk.asymptote().value,
-                    expected_time_s=final.time.mean, error="",
+                    fidelity=fidelity(walk.pair(cfg.depth).state), f_fp=fp.value,
+                    f_inf=walk.asymptote().value, expected_time_s=time.mean, error="",
                 )
             except ValueError as exc:
                 row.update(_NO_RESULT, error=str(exc))

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .analysis import asymptotic_fidelity, prefix_fixed_points, sweep
+from .analysis import asymptotic_fidelity, fixed_point_at_distance, prefix_fixed_points, sweep
 from .bell import fidelity
 from .channel import (
     channel_efficiency,
@@ -96,8 +96,8 @@ def cmd_simulate(config: RunConfig) -> str:
     prefixes = prefix_fixed_points(pcfg)
     t_link = expected_link_time(pcfg.link)
     rows = []
-    for pair, fp in prefixes:
-        t, fid = pair.time.mean, fidelity(pair.state)
+    for pair, time, fp in prefixes:
+        t, fid = time.mean, fidelity(pair.state)
         units = t / t_link if t_link else None
         rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
     header = [
@@ -119,8 +119,8 @@ def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
     pcfg = config.protocol_config()
     asym = asymptotic_fidelity(pcfg)
     rows = [
-        [pair.span, pair.span * config.l0_km, fp.value, asym.value]
-        for pair, fp in prefix_fixed_points(pcfg)
+        [span, span * config.l0_km, fixed_point_at_distance(pcfg, span).value, asym.value]
+        for span in (2 ** (d + 1) - 1 for d in range(pcfg.depth + 1))
     ]
     header = ["span_segments", "distance_km", "f_fp", "f_inf"]
     return _render_csv(config, "fixed-point", header, rows)

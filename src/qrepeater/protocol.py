@@ -12,10 +12,10 @@ and only when read; :func:`run_protocol`, the sampler and the
 fixed-point analysis all read it.
 
 Fidelity bookkeeping is deterministic (conditioned on every purification
-accepting); each pair carries its build time as one
-:class:`~qrepeater.timing.Duration`, the first two moments of the random
-completion time, cross-checked by a discrete-event Monte Carlo sampler of
-the same process.
+accepting); the builders compute states and acceptance probabilities only.
+:meth:`Ladder.time` computes a depth's time on first read, as one
+:class:`~qrepeater.timing.Duration` (the first two moments of the random
+completion time), cross-checked by a discrete-event Monte Carlo sampler.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from .channel import (
     link_state,
 )
 from .ops import NoiseParams, connect_chain, purify, purify_weights, swap
-from .timing import (
-    Duration,
-    max_all,
-    max_of_geometric,
-    restarting_rounds,
-)
+from .timing import Duration, max_all, max_of_geometric, restarting_rounds
 
 #: numpy, imported on the first monte_carlo_time call so the analytic path
 #: never loads it; looked up at each call, so a replacement here takes effect.
@@ -125,13 +120,11 @@ class ProtocolConfig:
 class PairRecord:
     """One entangled pair with its provenance: purity species (A fully
     purified, B stored-and-being-pumped, C freshly built fodder), the
-    number of elementary segments it spans, its Bell-diagonal state and
-    the mean and variance of the wall-clock time to build it."""
+    number of elementary segments it spans and its Bell-diagonal state."""
 
     species: str
     span: int
     state: BellDiagonalState
-    time: Duration
 
     def __post_init__(self):
         if self.species not in ("A", "B", "C"):
@@ -171,8 +164,8 @@ def _elementary_state(config: ProtocolConfig) -> BellDiagonalState:
 
 def elementary_pair(config: ProtocolConfig) -> PairRecord:
     """Freshly heralded pair over one segment: species A, span 1."""
-    prob, unit = _link_prob_and_unit(config)
-    return PairRecord("A", 1, _elementary_state(config), max_of_geometric(1, prob, unit))
+    _link_prob_and_unit(config)  # a pinned f0 still needs a link that succeeds
+    return PairRecord("A", 1, _elementary_state(config))
 
 
 def build_b_pair(
@@ -187,16 +180,9 @@ def build_b_pair(
         raise ValueError(
             f"span mismatch: {a_left.span} vs {a_right.span} segments"
         )
-    n = a_left.span
-    prob, unit = _link_prob_and_unit(config)
     elem = _elementary_state(config)
     state = connect_chain([a_left.state, elem, a_right.state], config.noise)
-    if n == 1:
-        group = max_of_geometric(3, prob, unit)
-    else:
-        link = max_of_geometric(1, prob, unit)
-        group = max_all([a_left.time, a_right.time, link])
-    return PairRecord("B", 2 * n + 1, state, group.shifted(config.link.classical_time_s))
+    return PairRecord("B", 2 * a_left.span + 1, state)
 
 
 def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, float]:
@@ -213,20 +199,11 @@ def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, 
     agreeing parities is (w0+w2)^2 + (w1+w3)^2 >= 1/2, and a faithful
     report is at least as likely as a false one.
 
-    Returns the helper record and the refining round's acceptance
-    probability.
+    Returns the helper record and its refining round's acceptance probability.
     """
     state = swap(half.state, half.state, config.noise)
-    if half.span == 1:
-        prob, unit = _link_prob_and_unit(config)
-        group = max_of_geometric(2, prob, unit)
-    else:
-        group = max_all([half.time, half.time])
-    tc = config.link.classical_time_s
-    base = group.shifted(tc)
     outcome = purify(state, state, config.noise)
-    time = restarting_rounds(base, base, tc, [outcome.success_prob])
-    return PairRecord("A", 2 * half.span, outcome.state, time), outcome.success_prob
+    return PairRecord("A", 2 * half.span, outcome.state), outcome.success_prob
 
 
 def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord:
@@ -239,18 +216,13 @@ def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord
     copies occupy disjoint segments and race concurrently with the three
     links.
     """
-    prob, unit = _link_prob_and_unit(config)
     elem = _elementary_state(config)
-    links = max_of_geometric(3, prob, unit)
     if inner is None:
-        span, state, group = 3, connect_chain([elem, elem, elem], config.noise), links
-    else:
-        if inner.species != "A":
-            raise ValueError("build_c_pair needs an A pair")
-        span = 2 * inner.span + 3
-        state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
-        group = max_all([inner.time, inner.time, links])
-    return PairRecord("C", span, state, group.shifted(config.link.classical_time_s))
+        return PairRecord("C", 3, connect_chain([elem, elem, elem], config.noise))
+    if inner.species != "A":
+        raise ValueError("build_c_pair needs an A pair")
+    state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
+    return PairRecord("C", 2 * inner.span + 3, state)
 
 
 def pump(
@@ -263,8 +235,8 @@ def pump(
     """Purify the stored B pair m consecutive times, each round with a
     fresh copy of the same-span fodder pair ``c``; all rounds must
     accept, and any rejection restarts the level from scratch (that
-    enters the time, not the conditioned state).  m = 0 relabels the B
-    pair as A.
+    enters :meth:`Ladder.time`, not the conditioned state).  m = 0 relabels
+    the B pair as A.
 
     Returns the A pair and the acceptance probability of each step."""
     where = f" at level {level}" if level is not None else ""
@@ -275,7 +247,7 @@ def pump(
             f"pump span mismatch{where}: B spans {b.span}, C spans {c.span}"
         )
     if m == 0:
-        return PairRecord("A", b.span, b.state, b.time), ()
+        return PairRecord("A", b.span, b.state), ()
     weights, fodder = weights_of(b.state), weights_of(c.state)
     probs: list[float] = []
     for step in range(m):
@@ -287,8 +259,7 @@ def pump(
             )
         weights = normalise(raw)
         probs.append(success)
-    time = restarting_rounds(b.time, c.time, config.link.classical_time_s, probs)
-    return PairRecord("A", b.span, BellDiagonalState(*weights), time), tuple(probs)
+    return PairRecord("A", b.span, BellDiagonalState(*weights)), tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -311,36 +282,65 @@ class Ladder:
     when a read needs them: level i stores a B pair from two copies of
     level i-1's A pair (level -1 is one elementary link), pumps it
     ``pumping_depth(config.m, i)`` times with C fodder from helpers at
-    level i-2, and is appended to ``levels`` once it is complete.  Nothing
-    is kept from a failed build: an unpurifiable pump, or a time model that
-    overflows, raises :class:`ProtocolError` on every read that reaches its
-    level, since a build is deterministic."""
+    level i-2, and is appended to ``levels`` once it is complete; only
+    :meth:`time` computes times.  Nothing is kept from a failed build: an
+    unpurifiable pump, or a time model that overflows, raises
+    :class:`ProtocolError` on every read that reaches its level."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.levels: list[Level] = []
+        self._times: list[Duration] = []
 
     @functools.cached_property
     def _elementary(self) -> PairRecord:
         return elementary_pair(self.config)
 
     def pair(self, depth: int) -> PairRecord:
-        """The A pair over span 2^depth - 1; depth 0 is the elementary pair."""
+        """The A pair over span 2^(depth+1) - 1; depth 0 is the elementary pair."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth!r}")
         config, levels = self.config, self.levels
         while len(levels) < depth:
             idx = len(levels)
             below = self.pair(idx)
-            try:
-                b = build_b_pair(below, below, config)
-                helper, helper_q = _helper_pair(self.pair(idx - 1), config) if idx else (None, None)
-                c = build_c_pair(helper, config)
-                a, step_probs = pump(b, c, pumping_depth(config.m, idx), config, idx)
-            except OverflowError as exc:
-                raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
+            b = build_b_pair(below, below, config)
+            helper, helper_q = _helper_pair(self.pair(idx - 1), config) if idx else (None, None)
+            c = build_c_pair(helper, config)
+            a, step_probs = pump(b, c, pumping_depth(config.m, idx), config, idx)
             levels.append(Level(b, c, step_probs, helper_q, a))
         return levels[depth - 1].a if depth else self._elementary
+
+    def time(self, depth: int) -> Duration:
+        """Mean and variance of the time to build the A pair over span
+        2^(depth+1) - 1, computed on first read one level at a time (level i's
+        state, then its time) from the times one and two depths below, the
+        level's acceptance probabilities and the racing links' maxima; the
+        analytic twin of the sampler in :func:`monte_carlo_time`."""
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth!r}")
+        times, tc = self._times, self.config.link.classical_time_s
+        while len(times) <= depth:
+            idx = len(times) - 1  # the level that builds this depth; -1 is one link
+            self.pair(idx + 1)
+            if idx < 0:
+                prob, unit = _link_prob_and_unit(self.config)
+                self._links = [max_of_geometric(k, prob, unit) for k in (1, 2, 3)]
+                times.append(self._links[0])
+                continue
+            (one, two, three), level, below = self._links, self.levels[idx], times[idx]
+            try:
+                b = (max_all([below, below, one]) if idx else three).shifted(tc)
+                fodder = three
+                if idx:
+                    half = times[idx - 1]
+                    base = (max_all([half, half]) if idx > 1 else two).shifted(tc)
+                    helper = restarting_rounds(base, base, tc, [level.helper_q])
+                    fodder = max_all([helper, helper, three])
+                times.append(restarting_rounds(b, fodder.shifted(tc), tc, level.step_probs))
+            except OverflowError as exc:
+                raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
+        return times[depth]
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -348,12 +348,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     return the final pair, the per-level A-pair snapshots and the total
     expected time."""
     ladder = Ladder(config)
-    final = ladder.pair(config.depth)
-    return ProtocolResult(
-        final=final,
-        per_level=tuple(level.a for level in ladder.levels),
-        total_expected_time=final.time.mean,
-    )
+    total = ladder.time(config.depth).mean
+    return ProtocolResult(ladder.pair(config.depth), tuple(lv.a for lv in ladder.levels), total)
 
 
 @dataclass(frozen=True)

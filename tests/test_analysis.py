@@ -426,7 +426,7 @@ def per_point_sweep_rows(base, axes):
             asym = per_point_asymptote(cfg)
             row.update(
                 fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
-                expected_time_s=final.time.mean, error="",
+                expected_time_s=ladder.time(cfg.depth).mean, error="",
             )
         except (ValueError, ProtocolError) as exc:
             row.update(
@@ -543,8 +543,11 @@ class TestSweepSharesOneWalkPerLadder:
         ladder = Ladder(cfg)
         ladder.pair(depth)
         expected_prefixes = [
-            (elementary_pair(cfg), FixedPointResult(0.98, 0, True))
-        ] + [(level.a, _pumped_fixed_point(level, cfg.noise)) for level in ladder.levels]
+            (elementary_pair(cfg), ladder.time(0), FixedPointResult(0.98, 0, True))
+        ] + [
+            (level.a, ladder.time(d), _pumped_fixed_point(level, cfg.noise))
+            for d, level in enumerate(ladder.levels, start=1)
+        ]
         builds = Counter()
         real = protocol.build_b_pair
 
@@ -557,11 +560,11 @@ class TestSweepSharesOneWalkPerLadder:
         # A fresh but equal config, as each command resolves its own.
         cfg = make_config(f0=0.98, span=127)
         # Span 1 reads the elementary pair and builds no level.
-        assert fixed_point_at_distance(cfg, 1) == expected_prefixes[0][1]
+        assert fixed_point_at_distance(cfg, 1) == expected_prefixes[0][2]
         assert not builds
         assert asymptotic_fidelity(cfg) == expected_asymptote
         assert prefix_fixed_points(cfg) == expected_prefixes
-        assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][1]
+        assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][2]
         assert set(builds.values()) == {1}
         assert sum(builds.values()) == max(depth, expected_asymptote.iterations)
 

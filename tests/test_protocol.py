@@ -36,7 +36,6 @@ from qrepeater.protocol import (
     round_span_up,
     run_protocol,
 )
-from qrepeater.timing import Duration
 
 TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,8 +120,8 @@ class TestElementaryPair:
         assert fidelity(pair.state) == pytest.approx(initial_fidelity(0.05, eps), abs=TOL)
         prob = entangle_success_prob(0.05, eps)
         unit = link.attempt_duration_s
-        assert pair.time.mean == pytest.approx(unit / prob, rel=1e-12)
-        assert pair.time.var == pytest.approx((1 - prob) / prob**2 * unit**2, rel=1e-12)
+        assert Ladder(cfg).time(0).mean == pytest.approx(unit / prob, rel=1e-12)
+        assert Ladder(cfg).time(0).var == pytest.approx((1 - prob) / prob**2 * unit**2, rel=1e-12)
 
     def test_f0_override(self):
         pair = elementary_pair(make_config(f0=0.961558))
@@ -146,7 +145,7 @@ class TestBuildBPair:
     def test_span_mismatch_rejected(self):
         cfg = make_config()
         a1 = elementary_pair(cfg)
-        a3 = PairRecord("A", 3, a1.state, Duration(0.0))
+        a3 = PairRecord("A", 3, a1.state)
         with pytest.raises(ValueError, match="span"):
             build_b_pair(a1, a3, cfg)
 
@@ -196,13 +195,12 @@ class TestPump:
         out, probs = pump(b, build_c_pair(None, cfg), 0, cfg)
         assert out.species == "A" and probs == ()
         assert np.max(np.abs(out.state.weights - b.state.weights)) < TOL
-        assert out.time == b.time
 
     def test_single_step_closed_form(self):
         cfg = make_config(span=3, m=1)
         state = from_fidelity(0.9, 0.0)
-        b = PairRecord("B", 3, state, Duration(1.0))
-        c = PairRecord("C", 3, state, Duration(1.0))
+        b = PairRecord("B", 3, state)
+        c = PairRecord("C", 3, state)
         out, (q,) = pump(b, c, 1, cfg)
         expected_f, expected_q = dejmps_phase_only(0.9, 0.9)
         assert fidelity(out.state) == pytest.approx(expected_f, abs=TOL)
@@ -211,24 +209,24 @@ class TestPump:
     def test_fixed_fodder_pumps_to_unity_with_perfect_ops(self):
         cfg = make_config(span=3)
         state = from_fidelity(0.9, 0.0)
-        b = PairRecord("B", 3, state, Duration(1.0))
-        c = PairRecord("C", 3, state, Duration(1.0))
+        b = PairRecord("B", 3, state)
+        c = PairRecord("C", 3, state)
         out, probs = pump(b, c, 200, cfg)
         assert len(probs) == 200
         assert fidelity(out.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_span_mismatch_rejected(self):
         cfg = make_config(span=3)
-        b = PairRecord("B", 3, from_fidelity(0.9, 0.0), Duration(1.0))
-        c = PairRecord("C", 5, from_fidelity(0.9, 0.0), Duration(1.0))
+        b = PairRecord("B", 3, from_fidelity(0.9, 0.0))
+        c = PairRecord("C", 5, from_fidelity(0.9, 0.0))
         for m in (0, 1):
             with pytest.raises(ValueError, match="span"):
                 pump(b, c, m, cfg)
 
     def test_unpurifiable_raises_with_level(self):
         cfg = make_config(span=3)
-        b = PairRecord("B", 3, from_fidelity(1.0, 0.0), Duration(1.0))
-        c = PairRecord("C", 3, from_fidelity(0.0, 0.0), Duration(1.0))
+        b = PairRecord("B", 3, from_fidelity(1.0, 0.0))
+        c = PairRecord("C", 3, from_fidelity(0.0, 0.0))
         with pytest.raises(ProtocolError, match="level 4"):
             pump(b, c, 1, cfg, level=4)
         # One ``except ValueError`` catches bad input and failed builds alike.
