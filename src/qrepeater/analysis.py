@@ -79,8 +79,8 @@ def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
 
 class _Walk(Ladder):
     """A ladder that also keeps the fixed point at each depth, computed on
-    first read (depth 0 is the elementary fidelity), and finds the
-    asymptote from them."""
+    first read (depth 0 is the elementary fidelity), and the asymptote found
+    from them; a failed search is not kept, so every read raises again."""
 
     def __init__(self, config: ProtocolConfig):
         super().__init__(config)
@@ -97,6 +97,10 @@ class _Walk(Ladder):
         return self._fixed_points[depth]
 
     def asymptote(self) -> FixedPointResult:
+        return self._asymptote
+
+    @functools.cached_property
+    def _asymptote(self) -> FixedPointResult:
         previous = None
         for depth in range(1, ASYMPTOTE_MAX_LEVELS + 1):
             fp = self.fixed_point(depth)

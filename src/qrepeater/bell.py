@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 ATOL = 1e-12          # tolerance for algebraic identities (normalisation, hermiticity)
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,18 @@ weights_of = attrgetter("w_psi_minus", "w_psi_plus", "w_phi_plus", "w_phi_minus"
 def normalise(w) -> tuple[float, float, float, float]:
     """Four weights with float round-off removed, as for a new state: clipped
     to [0, 1], sum rescaled to 1.  Loops keep a pair as these floats between
-    rounds.  Nonnegative weights skip the clip: a sum of nonnegative floats
-    never rounds below a term, so each ``x / total`` already lies in [0, 1]."""
+    rounds.  Nonnegative weights with a positive finite sum take a straight
+    line with no check or clip (a sum of nonnegative floats never rounds below
+    a term, so each ``x / total`` lies in [0, 1]); other input runs the checks."""
     w0, w1, w2, w3 = w
+    total = 0.0 + w0 + w1 + w2 + w3
+    if 0.0 <= w0 and 0.0 <= w1 and 0.0 <= w2 and 0.0 <= w3 and 0.0 < total < _INF:
+        w0, w1, w2, w3 = w0 / total, w1 / total, w2 / total, w3 / total
+        total = 0.0 + w0 + w1 + w2 + w3
+        return w0 / total, w1 / total, w2 / total, w3 / total
     lo = min(w0, w1, w2, w3)
     if lo < -ATOL:
         raise ValueError(f"Bell weights must be nonnegative, got {[w0, w1, w2, w3]}")
-    total = 0.0 + w0 + w1 + w2 + w3
     if not math.isfinite(total):
         raise ValueError(f"Bell weights and their sum must be finite, got {[w0, w1, w2, w3]}")
     if total <= 0.0:

@@ -101,12 +101,7 @@ def cmd_simulate(config: RunConfig) -> str:
         units = t / t_link if t_link else None
         rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
     header = [
-        "span_segments",
-        "distance_km",
-        "fidelity",
-        "f_fp",
-        "expected_time_s",
-        "time_in_t0_units",
+        "span_segments", "distance_km", "fidelity", "f_fp", "expected_time_s", "time_in_t0_units"
     ]
     return _render_csv(config, "simulate", header, rows)
 

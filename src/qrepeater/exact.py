@@ -144,16 +144,11 @@ _SWAP_CORR = {
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (order preserved)."""
     letters = "abcdefghijklmnop"
-    row = list(letters[:n_qubits])
-    col = list(letters[n_qubits : 2 * n_qubits])
-    for q in range(n_qubits):
-        if q not in keep:
-            col[q] = row[q]
-    out = "".join(row[q] for q in keep) + "".join(
-        letters[n_qubits + q] for q in keep
-    )
+    row = letters[:n_qubits]
+    col = "".join(letters[n_qubits + q] if q in keep else row[q] for q in range(n_qubits))
+    out = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
     r = rho.reshape([2] * (2 * n_qubits))
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, r)
+    reduced = np.einsum(row + col + "->" + out, r)
     k = len(keep)
     return reduced.reshape(2**k, 2**k)
 

@@ -12,10 +12,12 @@ Phi+=(0,0), Phi-=(0,1) -- and local Pauli errors act by XOR on these
 bits, which is what :func:`_xor_convolve` and :func:`swap_weights` spell out.
 The round kernels :func:`purify_weights` and :func:`swap_weights` work on
 plain float 4-tuples; a state is built only for a pair that is returned.
+Their per-noise constants are computed once per :class:`NoiseParams`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .bell import BellDiagonalState, normalise, weights_of
@@ -41,6 +43,19 @@ class NoiseParams:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
         if not 0.0 <= self.upsilon <= 0.5:
             raise ValueError(f"upsilon must lie in [0, 0.5], got {self.upsilon!r}")
+
+    @functools.cached_property
+    def purify_coefficients(self) -> tuple[float, float, float, float]:
+        """``p**2``, g_same and g_cross of :func:`purify_weights`, and its floor."""
+        p2, eta = self.p**2, self.eta
+        return p2, eta**2 + (1.0 - eta) ** 2, 2.0 * eta * (1.0 - eta), (1.0 - p2) / 8.0
+
+    @functools.cached_property
+    def swap_constants(self) -> tuple[tuple[float, float, float, float], float]:
+        """One swap's measurement errors (both outcome bits flipped, the
+        amplitude bit only, neither, the phase bit only) and its floor."""
+        eta, flip = self.eta, 1.0 - self.eta
+        return (flip * flip, flip * eta, eta * eta, eta * flip), (1.0 - self.p) / 4.0
 
 
 @dataclass(frozen=True)
@@ -96,18 +111,15 @@ def purify_weights(a, b, noise: NoiseParams) -> tuple[list | None, float]:
     renormalisation (None when unpurifiable) and the acceptance probability."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    p2 = noise.p**2
-    eta = noise.eta
-    g_same = eta**2 + (1.0 - eta) ** 2  # reported-equal given true-equal
-    g_cross = 2.0 * eta * (1.0 - eta)   # reported-equal given true-unequal
-    floor = (1.0 - p2) / 8.0
+    p2, g_same, g_cross, floor = noise.purify_coefficients
     # Components whose true measurement parities agree (g_same) / disagree
     # (g_cross) after the frame correction; classes {Psi-, Phi+}, {Psi+, Phi-}.
     u0 = p2 * (g_same * (a0 * b0 + a2 * b2) + g_cross * (a0 * b3 + a2 * b1)) + floor
     u1 = p2 * (g_same * (a0 * b2 + a2 * b0) + g_cross * (a0 * b1 + a2 * b3)) + floor
     u2 = p2 * (g_same * (a1 * b3 + a3 * b1) + g_cross * (a1 * b0 + a3 * b2)) + floor
     u3 = p2 * (g_same * (a1 * b1 + a3 * b3) + g_cross * (a1 * b2 + a3 * b0)) + floor
-    success = min(0.0 + u0 + u1 + u2 + u3, 1.0)  # clamp float round-off
+    success = 0.0 + u0 + u1 + u2 + u3
+    success = 1.0 if 1.0 < success else success  # clamp float round-off; min(success, 1.0)
     if success < MIN_SUCCESS_PROB:
         return None, success
     return [u0 / success, u1 / success, u2 / success, u3 / success], success
@@ -127,16 +139,12 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
 
 def swap_weights(a, b, noise: NoiseParams) -> list:
     """:func:`swap` on weight 4-tuples: the weights before renormalisation."""
-    eta, p = noise.eta, noise.p
-    flip = 1.0 - eta
-    errors = _xor_convolve(a, b)
-    # Measurement errors: both outcome bits flipped (Psi-), the amplitude
-    # bit only, neither, the phase bit only.
-    i0, i1, i2, i3 = _xor_convolve(errors, (flip * flip, flip * eta, eta * eta, eta * flip))
+    measure, floor = noise.swap_constants
+    p = noise.p
+    i0, i1, i2, i3 = _xor_convolve(_xor_convolve(a, b), measure)
     # The outcome-bit frame leaves two perfect singlets on Phi+; the fixed
     # correction includes a Y (Psi- <-> Phi+, Psi+ <-> Phi-) that moves the
     # target back to Psi-.
-    floor = (1.0 - p) / 4.0
     return [p * i2 + floor, p * i3 + floor, p * i0 + floor, p * i1 + floor]
 
 

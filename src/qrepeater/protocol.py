@@ -46,29 +46,23 @@ class ProtocolError(ValueError):
     so one ``except ValueError`` catches every bad-input failure."""
 
 
-def nesting_depth(target_span: int) -> int:
-    """The number k of nesting levels that build a target span of the form
-    2^k - 1 from single segments; span 1 needs none."""
-    if target_span < 1:
-        raise ValueError(f"target_span must be >= 1, got {target_span!r}")
-    depth, span = 0, 1
-    while span < target_span:
-        depth, span = depth + 1, 2 * span + 1
-    if span != target_span:
-        raise ValueError(
-            f"target_span must be of the form 2^k - 1 (1, 3, 7, 15, ...), got {target_span!r}"
-        )
-    return depth
-
-
 def round_span_up(span: int) -> int:
     """Smallest schedulable span (2^k - 1) that is >= ``span``."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span!r}")
-    out = 1
-    while out < span:
-        out = 2 * out + 1
-    return out
+    return (1 << math.ceil(span).bit_length()) - 1
+
+
+def nesting_depth(target_span: int) -> int:
+    """The number k of nesting levels that build a target span 2^(k+1) - 1
+    from single segments; span 1 needs none."""
+    if target_span < 1:
+        raise ValueError(f"target_span must be >= 1, got {target_span!r}")
+    if (span := round_span_up(target_span)) != target_span:
+        raise ValueError(
+            f"target_span must be of the form 2^k - 1 (1, 3, 7, 15, ...), got {target_span!r}"
+        )
+    return span.bit_length() - 1
 
 
 def pumping_depth(m: int | tuple[int, ...], level: int) -> int:
@@ -115,6 +109,13 @@ class ProtocolConfig:
         if self.f0 is not None and not 0.0 <= self.f0 <= 1.0:
             raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
 
+    @functools.cached_property
+    def elementary_state(self) -> BellDiagonalState:
+        """A fresh one-segment pair's state (``f0`` if pinned), kept once read."""
+        if self.f0 is not None:
+            return from_fidelity(self.f0, self.noise.upsilon)
+        return link_state(self.link.p_em, channel_efficiency(self.link), self.noise.upsilon)
+
 
 @dataclass(frozen=True)
 class PairRecord:
@@ -154,18 +155,10 @@ def _link_prob_and_unit(config: ProtocolConfig) -> tuple[float, float]:
     return prob, config.link.attempt_duration_s
 
 
-def _elementary_state(config: ProtocolConfig) -> BellDiagonalState:
-    if config.f0 is not None:
-        return from_fidelity(config.f0, config.noise.upsilon)
-    return link_state(
-        config.link.p_em, channel_efficiency(config.link), config.noise.upsilon
-    )
-
-
 def elementary_pair(config: ProtocolConfig) -> PairRecord:
     """Freshly heralded pair over one segment: species A, span 1."""
     _link_prob_and_unit(config)  # a pinned f0 still needs a link that succeeds
-    return PairRecord("A", 1, _elementary_state(config))
+    return PairRecord("A", 1, config.elementary_state)
 
 
 def build_b_pair(
@@ -177,10 +170,8 @@ def build_b_pair(
     if a_left.species != "A" or a_right.species != "A":
         raise ValueError("build_b_pair needs two A pairs")
     if a_left.span != a_right.span:
-        raise ValueError(
-            f"span mismatch: {a_left.span} vs {a_right.span} segments"
-        )
-    elem = _elementary_state(config)
+        raise ValueError(f"span mismatch: {a_left.span} vs {a_right.span} segments")
+    elem = config.elementary_state
     state = connect_chain([a_left.state, elem, a_right.state], config.noise)
     return PairRecord("B", 2 * a_left.span + 1, state)
 
@@ -216,13 +207,17 @@ def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord
     copies occupy disjoint segments and race concurrently with the three
     links.
     """
-    elem = _elementary_state(config)
+    elem = config.elementary_state
     if inner is None:
         return PairRecord("C", 3, connect_chain([elem, elem, elem], config.noise))
     if inner.species != "A":
         raise ValueError("build_c_pair needs an A pair")
     state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
     return PairRecord("C", 2 * inner.span + 3, state)
+
+
+def _at_level(level: int | None) -> str:
+    return f" at level {level}" if level is not None else ""
 
 
 def pump(
@@ -239,12 +234,11 @@ def pump(
     the B pair as A.
 
     Returns the A pair and the acceptance probability of each step."""
-    where = f" at level {level}" if level is not None else ""
     if b.species != "B":
         raise ValueError(f"pump needs a B pair, got species {b.species!r}")
     if c.span != b.span:
         raise ValueError(
-            f"pump span mismatch{where}: B spans {b.span}, C spans {c.span}"
+            f"pump span mismatch{_at_level(level)}: B spans {b.span}, C spans {c.span}"
         )
     if m == 0:
         return PairRecord("A", b.span, b.state), ()
@@ -254,7 +248,7 @@ def pump(
         raw, success = purify_weights(weights, fodder, config.noise)
         if raw is None:
             raise ProtocolError(
-                f"unpurifiable pump step {step + 1}{where}: acceptance"
+                f"unpurifiable pump step {step + 1}{_at_level(level)}: acceptance"
                 f" probability {success:.3e}"
             )
         weights = normalise(raw)
@@ -323,13 +317,13 @@ class Ladder:
         while len(times) <= depth:
             idx = len(times) - 1  # the level that builds this depth; -1 is one link
             self.pair(idx + 1)
-            if idx < 0:
-                prob, unit = _link_prob_and_unit(self.config)
-                self._links = [max_of_geometric(k, prob, unit) for k in (1, 2, 3)]
-                times.append(self._links[0])
-                continue
-            (one, two, three), level, below = self._links, self.levels[idx], times[idx]
             try:
+                if idx < 0:
+                    prob, unit = _link_prob_and_unit(self.config)
+                    self._links = [max_of_geometric(k, prob, unit) for k in (1, 2, 3)]
+                    times.append(self._links[0])
+                    continue
+                (one, two, three), level, below = self._links, self.levels[idx], times[idx]
                 b = (max_all([below, below, one]) if idx else three).shifted(tc)
                 fodder = three
                 if idx:
@@ -339,7 +333,8 @@ class Ladder:
                     fodder = max_all([helper, helper, three])
                 times.append(restarting_rounds(b, fodder.shifted(tc), tc, level.step_probs))
             except OverflowError as exc:
-                raise ProtocolError(f"expected time overflows a float at level {idx}") from exc
+                where = f"level {idx}" if idx >= 0 else "the elementary link"
+                raise ProtocolError(f"expected time overflows a float at {where}") from exc
         return times[depth]
 
 

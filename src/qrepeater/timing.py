@@ -12,6 +12,7 @@ is the check on these approximations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +69,7 @@ def max_pair(a: Duration, b: Duration) -> Duration:
     independent stage durations."""
     nu2 = a.var + b.var
     if nu2 <= 0.0:
-        m = max(a.mean, b.mean)
-        return Duration(m, 0.0)
+        return Duration(max(a.mean, b.mean), 0.0)
     nu = math.sqrt(nu2)
     delta = (a.mean - b.mean) / nu
     cdf, pdf = _norm_cdf(delta), _norm_pdf(delta)
@@ -86,10 +86,7 @@ def max_all(durations: list[Duration]) -> Duration:
     """Fold :func:`max_pair` over concurrent stages."""
     if not durations:
         raise ValueError("max_all requires at least one duration")
-    out = durations[0]
-    for d in durations[1:]:
-        out = max_pair(out, d)
-    return out
+    return functools.reduce(max_pair, durations)
 
 
 def restarting_rounds(
