@@ -372,6 +372,12 @@ def _link_maxima(rng, rate, unit, count: int, racers: int) -> np.ndarray:
     return out
 
 
+def _link_max(rng, rate: float, unit: float, racers: int) -> float:
+    """One trial of :func:`_link_maxima` on Python floats, from the same
+    draw; ``math.ceil`` is integral, so the product has the same bits."""
+    return math.ceil(max(rng.standard_exponential(racers).tolist()) / rate) * unit
+
+
 def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDistribution:
     """Discrete-event sampling of the protocol's completion time.
 
@@ -390,37 +396,63 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     Cost: each rejected round redraws every sub-level of its attempt, so
     the work per trial grows with the product of the per-level restart
     factors; at p = eta = 0.95, m = 4, span 31, 2 trials take over 60 s.
+    Restarts end in tails of a few trials, where numpy's per-call cost
+    dominates, so a stage asked for one trial, or a restart left with one,
+    runs on Python floats (:func:`_link_max`): the same generator calls and
+    float operations in the same order, so the same samples.
+
+    Raises :class:`ProtocolError` if a sample, the mean or the std
+    overflows a float.
     """
     check_sampler_args(seed, trials)
     global np
     if np is None:
         import numpy as np
     prob, unit = _link_prob_and_unit(config)
+    rate, tc = -math.log1p(-prob), config.link.classical_time_s
     # 0-d arrays: numpy converts a Python float operand on every call.
-    rate, unit, tc = map(np.array, (-math.log1p(-prob), unit, config.link.classical_time_s))
+    rate_a, unit_a, tc_a = map(np.array, (rate, unit, tc))
     ladder = Ladder(config)
     top = config.depth
     ladder.pair(top)
     levels = ladder.levels
     rng = np.random.default_rng(seed)
-    sample_links = functools.partial(_link_maxima, rng, rate, unit)
 
-    def restarting(sample_base, sample_round, level: int, probs, count: int) -> np.ndarray:
+    def sample_links(count: int, racers: int):
+        if count == 1:
+            return _link_max(rng, rate, unit, racers)
+        return _link_maxima(rng, rate_a, unit_a, count, racers)
+
+    def restart_one(sample_base, sample_round, level: int, probs, total: float = 0.0) -> float:
+        # restarting for one trial on floats, adding attempts to total in order (0.0 + a is a).
+        while True:
+            attempt = sample_base(level, 1)
+            for q in probs:
+                attempt += sample_round(level, 1) + tc
+                if not rng.random(1)[0] < q:
+                    break
+            else:
+                return total + attempt
+            total += attempt
+
+    def restarting(sample_base, sample_round, level: int, probs, count: int):
         # The sampler's copy of timing.restarting_rounds: each attempt pays a
         # base build, then one round plus tc per entry of probs; a rejection
         # restarts it.  The first attempt is the total; later ones add to it.
         if not probs:
             return sample_base(level, count)
+        if count == 1:
+            return restart_one(sample_base, sample_round, level, probs)
         total = attempt = sample_base(level, count)
         todo = None  # the trials of total in attempt; None: all of them
         while True:
-            attempt += sample_round(level, attempt.size) + tc
+            attempt += sample_round(level, attempt.size) + tc_a
             ok = rng.random(attempt.size) < probs[0]  # accepted so far
             for q in probs[1:]:
                 live = ok.nonzero()[0]
                 if not live.size:
                     break
-                attempt[live] += sample_round(level, live.size) + tc
+                attempt[live] += sample_round(level, live.size) + tc_a
                 ok[live] = rng.random(live.size) < q
             if todo is not None:
                 total[todo] += attempt
@@ -428,45 +460,53 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
             if not redo.size:
                 return total
             todo = redo if todo is None else todo[redo]
+            if todo.size == 1:
+                (i,) = todo
+                total[i] = restart_one(sample_base, sample_round, level, probs, float(total[i]))
+                return total
             attempt = sample_base(level, todo.size)
 
-    def sample_level(level: int, count: int) -> np.ndarray:
+    def sample_level(level: int, count: int):
         if level < 0:
             return sample_links(count, 1)
         return restarting(sample_b, sample_c, level, levels[level].step_probs, count)
 
-    def race(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    def race(first, *rest):
         # Concurrent stages finish at their max, then a swap round adds tc.
+        if type(first) is float:
+            return max((first, *rest)) + tc
         for other in rest:
             np.maximum(first, other, out=first)
-        first += tc
+        first += tc_a
         return first
 
-    def sample_swapped(level: int, count: int) -> np.ndarray:
+    def sample_swapped(level: int, count: int):
         # Two copies of level's output swapped together.
         if level < 0:
             return race(sample_links(count, 2))
         return race(sample_level(level, count), sample_level(level, count))
 
-    def sample_b(level: int, count: int) -> np.ndarray:
+    def sample_b(level: int, count: int):
         if level == 0:
             return race(sample_links(count, 3))
         below = level - 1
         return race(sample_level(below, count), sample_level(below, count), sample_links(count, 1))
 
-    def sample_c(level: int, count: int) -> np.ndarray:
+    def sample_c(level: int, count: int):
         if level == 0:
             return race(sample_links(count, 3))
         helper = (sample_swapped, sample_swapped, level - 2, (levels[level].helper_q,), count)
         return race(restarting(*helper), restarting(*helper), sample_links(count, 3))
 
-    samples = sample_level(top - 1, trials)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = sample_level(top - 1, trials)
+        if trials == 1:
+            samples = np.array([samples])
+        mean = float(samples.mean())
+        std = float(samples.std(ddof=1)) if trials > 1 else 0.0
+    for name, value in (("sample", samples.max()), ("mean", mean), ("std", std)):
+        if not math.isfinite(value):
+            raise ProtocolError(f"sampled completion time: the {name} overflows a float")
     qs = (0.5, 0.9, 0.99)
     quantiles = {q: float(np.quantile(samples, q)) for q in qs}
-    return TimeDistribution(
-        mean=float(samples.mean()),
-        std=float(samples.std(ddof=1)) if trials > 1 else 0.0,
-        quantiles=quantiles,
-        n_trials=trials,
-        samples=samples,
-    )
+    return TimeDistribution(mean, std, quantiles, trials, samples)

@@ -1,6 +1,7 @@
 """Nested protocol: construction rules, closed-form checks, expected-time
 models and the discrete-event sampler."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from qrepeater.channel import (
     entangle_success_prob,
     p_em_for_fidelity,
 )
+from qrepeater.config import RunConfig
 from qrepeater.ops import NoiseParams
 from qrepeater.protocol import (
     Ladder,
@@ -332,6 +334,31 @@ class TestMonteCarloTime:
         got = (mc.mean, mc.std, mc.quantiles[0.5], mc.quantiles[0.9], mc.quantiles[0.99])
         assert got == pytest.approx(self.PINNED[span, seed], rel=1e-12, abs=0.0)
 
+    #: seed -> SHA-256 of ``samples.tobytes()`` for the benchmark's
+    #: ``mc_span31`` config (defaults at span 31, 4,000 trials), recorded in
+    #: a separate process at commit 88bfd43, whose sampler had no float path.
+    PINNED_SPAN31 = {
+        0: "7769a91b318403dbf2b5a0e7e52afbcbb94943d96b3bbdb91556b305d1c26b76",
+        1: "31851162d8011849bd7f8395c46d3ffef5ed75da2f6649d2ad96a696e679c63d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_SPAN31))
+    def test_pinned_at_benchmark_scale(self, seed):
+        cfg = RunConfig(target_span=31).protocol_config()
+        samples = monte_carlo_time(cfg, seed=seed, trials=4_000).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == self.PINNED_SPAN31[seed]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "t0, trials, statistic",
+        [(1e150, 50, "std"), (1e200, 50, "std"), (1e300, 50, "std"), (1e300, 2, "std"),
+         (1e306, 50, "sample"), (1e306, 1, "sample")],
+    )
+    def test_overflow_raises_without_warnings(self, t0, trials, statistic):
+        cfg = ProtocolConfig(LinkParams(t0_s=t0), NoiseParams(0.995, 0.995), 3, 7)
+        with pytest.raises(ProtocolError, match=f"the {statistic} overflows a float"):
+            monte_carlo_time(cfg, seed=1, trials=trials)
+
     def test_deterministic_for_seed(self):
         cfg = make_config(f0=0.98, p=0.995, eta=0.995, m=1, span=7)
         a = monte_carlo_time(cfg, seed=17, trials=500)
@@ -460,9 +487,11 @@ def numpy_loaded():
 
 
 class TestSamplerMatchesGeometricReference:
+    # One trial runs on floats, and restarts hand a last trial to them.
+    @pytest.mark.parametrize("trials", [1, 2, 3, 40])
     @pytest.mark.parametrize("m", [0, 1, 3, (2, 0, 1, 0)], ids=str)
     @pytest.mark.parametrize("span", [1, 3, 7, 15, 31])
-    def test_same_samples_and_draws(self, span, m, monkeypatch):
+    def test_same_samples_and_draws(self, span, m, trials, monkeypatch):
         gens = []
 
         def counting_rng(seed):
@@ -478,11 +507,21 @@ class TestSamplerMatchesGeometricReference:
                 cfg = sampler_config(span, m, f0, tc_s)
                 for seed in (1, 2, 3):
                     reference = CountingGenerator(seed)
-                    expected = reference_monte_carlo_samples(cfg, reference, 3)
-                    got = monte_carlo_time(cfg, seed, 3).samples
+                    expected = reference_monte_carlo_samples(cfg, reference, trials)
+                    got = monte_carlo_time(cfg, seed, trials).samples
                     assert got.tobytes() == expected.tobytes()
                     assert gens[-1].calls == reference.calls
                     assert gens[-1].generator.random() == reference.generator.random()
+
+    @pytest.mark.parametrize("m", [0, 3, (2, 0, 1, 0)], ids=str)
+    def test_one_trial_never_reaches_the_array_path(self, m, monkeypatch):
+        def no_arrays(*args):
+            raise AssertionError("a single trial drew its links as an array")
+
+        monkeypatch.setattr(protocol, "_link_maxima", no_arrays)
+        for seed in (1, 2):
+            got = monte_carlo_time(sampler_config(31, m, None, None), seed, 1).samples
+            assert got.dtype == np.float64 and got.shape == (1,)
 
     def test_link_draws_use_inversion(self):
         # numpy draws a geometric by inversion of an exponential only for
@@ -506,7 +545,12 @@ class TestSamplerMatchesGeometricReference:
         expected = old.geometric(p, (count, racers)).max(axis=1).astype(float) * unit
         got = protocol._link_maxima(new, -math.log1p(-p), unit, count, racers)
         assert got.tobytes() == expected.tobytes()
-        assert new.random() == old.random()
+        # The one-trial draw, once per row, gives the same floats and state.
+        one = np.random.default_rng(seed)
+        rows = [protocol._link_max(one, -math.log1p(-p), unit, racers) for _ in range(count)]
+        assert all(type(row) is float for row in rows)
+        assert np.array(rows).tobytes() == expected.tobytes()
+        assert new.random() == old.random() == one.random()
 
     BAD_ARGS = {
         "trials-float": ({"seed": 1, "trials": 2.5}, "trials must be an int >= 1"),
