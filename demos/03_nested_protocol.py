@@ -46,7 +46,7 @@ for span in spans:
     for m in (0, 1, 3):
         cfg = ProtocolConfig(link=link, noise=noise, m=m, target_span=span)
         result = run_protocol(cfg)
-        fids[m] = fidelity(result.final.state)
+        fids[m] = fidelity(result.final)
         if m == 3:
             total = result.total_expected_time
     ratio = f"{total / prev_time:.2f}" if prev_time else "  - "

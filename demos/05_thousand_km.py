@@ -36,7 +36,7 @@ cfg = ProtocolConfig(
 )
 ladder = Ladder(cfg)
 total_time = ladder.time(cfg.depth).mean
-final_f = fidelity(ladder.pair(cfg.depth).state)
+final_f = fidelity(ladder.pair(cfg.depth))
 
 print(f"declared efficiency   : {eps:.4f}")
 print(f"elementary fidelity   : {initial_fidelity(link.p_em, eps):.4f}")
@@ -50,5 +50,5 @@ print(f"violates CHSH (> {BELL_VIOLATION_FIDELITY})? {verdict}")
 print("\nper-level trace:")
 print("span  fidelity   expected time")
 for depth in range(1, cfg.depth + 1):
-    rec = ladder.pair(depth)
-    print(f"{rec.span:<5} {fidelity(rec.state):<10.5f} {ladder.time(depth).mean:.4g} s")
+    span = 2 ** (depth + 1) - 1
+    print(f"{span:<5} {fidelity(ladder.pair(depth)):<10.5f} {ladder.time(depth).mean:.4g} s")

@@ -26,14 +26,12 @@ from .channel import (
 )
 from .ops import NoiseParams, PurifyOutcome, connect_chain, purify, swap
 from .protocol import (
-    PairRecord,
     ProtocolConfig,
     ProtocolError,
     ProtocolResult,
     TimeDistribution,
     build_b_pair,
     build_c_pair,
-    elementary_pair,
     monte_carlo_time,
     nesting_depth,
     pump,

@@ -21,13 +21,12 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
-from .bell import fidelity, normalise, weights_of
+from .bell import BellDiagonalState, fidelity, normalise, weights_of
 from .channel import LinkParams
 from .ops import NoiseParams, purify, purify_weights  # noqa: F401  (bench/tests reads it)
 from .protocol import (
     Ladder,
     Level,
-    PairRecord,
     ProtocolConfig,
     nesting_depth,
     pumping_depth,
@@ -58,7 +57,7 @@ _NO_RESULT = dict.fromkeys(("fidelity", "f_fp", "f_inf", "expected_time_s"))
 def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
     """Pump the level's stored B pair with its C fodder until two
     successive rounds each move the fidelity by at most FIXED_POINT_TOL."""
-    weights, fodder = weights_of(level.b.state), weights_of(level.c.state)
+    weights, fodder = weights_of(level.b), weights_of(level.c)
     value = weights[0]
     small_steps = 0
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -92,7 +91,7 @@ class _Walk(Ladder):
             self._fixed_points[depth] = (
                 _pumped_fixed_point(self.levels[depth - 1], self.config.noise)
                 if depth
-                else FixedPointResult(fidelity(pair.state), 0, True)
+                else FixedPointResult(fidelity(pair), 0, True)
             )
         return self._fixed_points[depth]
 
@@ -144,7 +143,7 @@ def asymptotic_fidelity(config: ProtocolConfig) -> FixedPointResult:
 
 def prefix_fixed_points(
     config: ProtocolConfig,
-) -> list[tuple[PairRecord, Duration, FixedPointResult]]:
+) -> list[tuple[BellDiagonalState, Duration, FixedPointResult]]:
     """The purified pair, its time and the fixed point at every depth up
     to the config's, span 1 first, read from one ladder."""
     walk = _walk(config)
@@ -206,7 +205,7 @@ def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> tuple[di
             try:
                 time, fp = walk.time(cfg.depth), walk.fixed_point(cfg.depth)
                 row.update(
-                    fidelity=fidelity(walk.pair(cfg.depth).state), f_fp=fp.value,
+                    fidelity=fidelity(walk.pair(cfg.depth)), f_fp=fp.value,
                     f_inf=walk.asymptote().value, expected_time_s=time.mean, error="",
                 )
             except ValueError as exc:

@@ -96,10 +96,10 @@ def cmd_simulate(config: RunConfig) -> str:
     prefixes = prefix_fixed_points(pcfg)
     t_link = expected_link_time(pcfg.link)
     rows = []
-    for pair, time, fp in prefixes:
-        t, fid = time.mean, fidelity(pair.state)
+    for depth, (pair, time, fp) in enumerate(prefixes):
+        span, t, fid = 2 ** (depth + 1) - 1, time.mean, fidelity(pair)
         units = t / t_link if t_link else None
-        rows.append([pair.span, pair.span * config.l0_km, fid, fp.value, t, units])
+        rows.append([span, span * config.l0_km, fid, fp.value, t, units])
     header = [
         "span_segments", "distance_km", "fidelity", "f_fp", "expected_time_s", "time_in_t0_units"
     ]
@@ -135,11 +135,13 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     size, final fidelity, expected time and the CHSH-violation verdict."""
     if not 0.0 < distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
-    span = round_span_up(math.ceil(distance_km / config.l0_km))
+    if (ratio := distance_km / config.l0_km) == math.inf:
+        raise ValueError(f"distance_km / l0_km overflows a float: {distance_km} / {config.l0_km}")
+    span = round_span_up(math.ceil(ratio))
     pcfg = replace(config, target_span=span).protocol_config()
     eps = channel_efficiency(pcfg.link)
     result = run_protocol(pcfg)
-    fid = fidelity(result.final.state)
+    fid = fidelity(result.final)
     columns = {
         "requested_distance_km": distance_km,
         "span_segments": span,

@@ -118,28 +118,10 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    """One entangled pair with its provenance: purity species (A fully
-    purified, B stored-and-being-pumped, C freshly built fodder), the
-    number of elementary segments it spans and its Bell-diagonal state."""
-
-    species: str
-    span: int
-    state: BellDiagonalState
-
-    def __post_init__(self):
-        if self.species not in ("A", "B", "C"):
-            raise ValueError(f"species must be A, B or C, got {self.species!r}")
-        if self.span < 1:
-            raise ValueError(f"span must be >= 1, got {self.span!r}")
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
-    """Final pair, per-level snapshots and the total expected time."""
+    """Final pair and the total expected time."""
 
-    final: PairRecord
-    per_level: tuple[PairRecord, ...]
+    final: BellDiagonalState
     total_expected_time: float
 
 
@@ -155,28 +137,18 @@ def _link_prob_and_unit(config: ProtocolConfig) -> tuple[float, float]:
     return prob, config.link.attempt_duration_s
 
 
-def elementary_pair(config: ProtocolConfig) -> PairRecord:
-    """Freshly heralded pair over one segment: species A, span 1."""
-    _link_prob_and_unit(config)  # a pinned f0 still needs a link that succeeds
-    return PairRecord("A", 1, config.elementary_state)
-
-
 def build_b_pair(
-    a_left: PairRecord, a_right: PairRecord, config: ProtocolConfig
-) -> PairRecord:
+    a_left: BellDiagonalState, a_right: BellDiagonalState, config: ProtocolConfig
+) -> BellDiagonalState:
     """Connect two span-n A pairs through a central elementary link into
     a span 2n+1 B pair.  The three constituents occupy disjoint qubits
     and are generated concurrently; one heralded swap round follows."""
-    if a_left.species != "A" or a_right.species != "A":
-        raise ValueError("build_b_pair needs two A pairs")
-    if a_left.span != a_right.span:
-        raise ValueError(f"span mismatch: {a_left.span} vs {a_right.span} segments")
-    elem = config.elementary_state
-    state = connect_chain([a_left.state, elem, a_right.state], config.noise)
-    return PairRecord("B", 2 * a_left.span + 1, state)
+    return connect_chain([a_left, config.elementary_state, a_right], config.noise)
 
 
-def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, float]:
+def _helper_pair(
+    half: BellDiagonalState, config: ProtocolConfig
+) -> tuple[BellDiagonalState, float]:
     """Purified pair over the even helper span 2h used inside C pairs,
     from the span-h A pair ``half``.
 
@@ -190,17 +162,17 @@ def _helper_pair(half: PairRecord, config: ProtocolConfig) -> tuple[PairRecord, 
     agreeing parities is (w0+w2)^2 + (w1+w3)^2 >= 1/2, and a faithful
     report is at least as likely as a false one.
 
-    Returns the helper record and its refining round's acceptance probability.
+    Returns the helper pair and its refining round's acceptance probability.
     """
-    state = swap(half.state, half.state, config.noise)
+    state = swap(half, half, config.noise)
     outcome = purify(state, state, config.noise)
-    return PairRecord("A", 2 * half.span, outcome.state), outcome.success_prob
+    return outcome.state, outcome.success_prob
 
 
-def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord:
+def build_c_pair(inner: BellDiagonalState | None, config: ProtocolConfig) -> BellDiagonalState:
     """Fresh pair for one pumping round: three elementary links
-    bracketing two copies of the purified ``inner`` pair, all swapped
-    together into a span 2 * inner.span + 3 pair.  ``inner`` None is the
+    bracketing two copies of the purified span-h ``inner`` pair, all
+    swapped together into a span 2h + 3 pair.  ``inner`` None is the
     lowest level, where the chain is three elementary links (span 3).
 
     ``inner`` is the refined helper pair of :func:`_helper_pair`; its two
@@ -209,51 +181,36 @@ def build_c_pair(inner: PairRecord | None, config: ProtocolConfig) -> PairRecord
     """
     elem = config.elementary_state
     if inner is None:
-        return PairRecord("C", 3, connect_chain([elem, elem, elem], config.noise))
-    if inner.species != "A":
-        raise ValueError("build_c_pair needs an A pair")
-    state = connect_chain([elem, inner.state, elem, inner.state, elem], config.noise)
-    return PairRecord("C", 2 * inner.span + 3, state)
-
-
-def _at_level(level: int | None) -> str:
-    return f" at level {level}" if level is not None else ""
+        return connect_chain([elem, elem, elem], config.noise)
+    return connect_chain([elem, inner, elem, inner, elem], config.noise)
 
 
 def pump(
-    b: PairRecord,
-    c: PairRecord,
-    m: int,
-    config: ProtocolConfig,
+    b: BellDiagonalState, c: BellDiagonalState, m: int, config: ProtocolConfig,
     level: int | None = None,
-) -> tuple[PairRecord, tuple[float, ...]]:
+) -> tuple[BellDiagonalState, tuple[float, ...]]:
     """Purify the stored B pair m consecutive times, each round with a
     fresh copy of the same-span fodder pair ``c``; all rounds must
     accept, and any rejection restarts the level from scratch (that
-    enters :meth:`Ladder.time`, not the conditioned state).  m = 0 relabels
-    the B pair as A.
+    enters :meth:`Ladder.time`, not the conditioned state).  m = 0 keeps
+    the B pair as the A pair.
 
     Returns the A pair and the acceptance probability of each step."""
-    if b.species != "B":
-        raise ValueError(f"pump needs a B pair, got species {b.species!r}")
-    if c.span != b.span:
-        raise ValueError(
-            f"pump span mismatch{_at_level(level)}: B spans {b.span}, C spans {c.span}"
-        )
     if m == 0:
-        return PairRecord("A", b.span, b.state), ()
-    weights, fodder = weights_of(b.state), weights_of(c.state)
+        return b, ()
+    weights, fodder = weights_of(b), weights_of(c)
     probs: list[float] = []
     for step in range(m):
         raw, success = purify_weights(weights, fodder, config.noise)
         if raw is None:
+            where = f" at level {level}" if level is not None else ""
             raise ProtocolError(
-                f"unpurifiable pump step {step + 1}{_at_level(level)}: acceptance"
+                f"unpurifiable pump step {step + 1}{where}: acceptance"
                 f" probability {success:.3e}"
             )
         weights = normalise(raw)
         probs.append(success)
-    return PairRecord("A", b.span, BellDiagonalState(*weights)), tuple(probs)
+    return BellDiagonalState(*weights), tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -264,22 +221,35 @@ class Level:
     helper refinement's acceptance (None when there is none) and the
     purified A output."""
 
-    b: PairRecord
-    c: PairRecord
+    b: BellDiagonalState
+    c: BellDiagonalState
     step_probs: tuple[float, ...]
     helper_q: float | None
-    a: PairRecord
+    a: BellDiagonalState
+
+
+def level_step(
+    below: BellDiagonalState, two_below: BellDiagonalState | None, config: ProtocolConfig, idx: int
+) -> Level:
+    """Nesting level ``idx`` from the A pairs one and two depths below it:
+    a B pair from two copies of ``below``, C fodder from helpers built on
+    ``two_below`` (None at level 0, whose fodder is three links), and
+    ``pumping_depth(config.m, idx)`` pump steps."""
+    b = build_b_pair(below, below, config)
+    helper, helper_q = (None, None) if two_below is None else _helper_pair(two_below, config)
+    c = build_c_pair(helper, config)
+    a, step_probs = pump(b, c, pumping_depth(config.m, idx), config, idx)
+    return Level(b, c, step_probs, helper_q, a)
 
 
 class Ladder:
-    """The nesting levels of one config, built bottom-up in order and only
-    when a read needs them: level i stores a B pair from two copies of
-    level i-1's A pair (level -1 is one elementary link), pumps it
-    ``pumping_depth(config.m, i)`` times with C fodder from helpers at
-    level i-2, and is appended to ``levels`` once it is complete; only
-    :meth:`time` computes times.  Nothing is kept from a failed build: an
-    unpurifiable pump, or a time model that overflows, raises
-    :class:`ProtocolError` on every read that reaches its level."""
+    """The nesting levels of one config, built bottom-up in order by
+    :func:`level_step` and only when a read needs them: level i reads the
+    A pairs at depths i and i-1 (depth 0 is one elementary link) and is
+    appended to ``levels`` once it is complete; only :meth:`time` computes
+    times.  Nothing is kept from a failed build: an unpurifiable pump, or
+    a time model that overflows, raises :class:`ProtocolError` on every
+    read that reaches its level."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -287,22 +257,18 @@ class Ladder:
         self._times: list[Duration] = []
 
     @functools.cached_property
-    def _elementary(self) -> PairRecord:
-        return elementary_pair(self.config)
+    def _elementary(self) -> BellDiagonalState:
+        _link_prob_and_unit(self.config)  # a pinned f0 still needs a link that succeeds
+        return self.config.elementary_state
 
-    def pair(self, depth: int) -> PairRecord:
+    def pair(self, depth: int) -> BellDiagonalState:
         """The A pair over span 2^(depth+1) - 1; depth 0 is the elementary pair."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth!r}")
         config, levels = self.config, self.levels
-        while len(levels) < depth:
-            idx = len(levels)
-            below = self.pair(idx)
-            b = build_b_pair(below, below, config)
-            helper, helper_q = _helper_pair(self.pair(idx - 1), config) if idx else (None, None)
-            c = build_c_pair(helper, config)
-            a, step_probs = pump(b, c, pumping_depth(config.m, idx), config, idx)
-            levels.append(Level(b, c, step_probs, helper_q, a))
+        while (idx := len(levels)) < depth:
+            below, two_below = self.pair(idx), self.pair(idx - 1) if idx else None
+            levels.append(level_step(below, two_below, config, idx))
         return levels[depth - 1].a if depth else self._elementary
 
     def time(self, depth: int) -> Duration:
@@ -340,11 +306,10 @@ class Ladder:
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run the nested scheme through every level up to the target span and
-    return the final pair, the per-level A-pair snapshots and the total
-    expected time."""
+    return the final pair and the total expected time."""
     ladder = Ladder(config)
     total = ladder.time(config.depth).mean
-    return ProtocolResult(ladder.pair(config.depth), tuple(lv.a for lv in ladder.levels), total)
+    return ProtocolResult(ladder.pair(config.depth), total)
 
 
 @dataclass(frozen=True)
@@ -502,9 +467,12 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
         samples = sample_level(top - 1, trials)
         if trials == 1:
             samples = np.array([samples])
-        mean = float(samples.mean())
+        peak, mean = samples.max(), float(samples.mean())
         std = float(samples.std(ddof=1)) if trials > 1 else 0.0
-    for name, value in (("sample", samples.max()), ("mean", mean), ("std", std)):
+        if not math.isfinite(std) and math.isfinite(peak):
+            # numpy squares the deviations, which overflow before the std does.
+            std = float((samples / peak).std(ddof=1) * peak)
+    for name, value in (("sample", peak), ("mean", mean), ("std", std)):
         if not math.isfinite(value):
             raise ProtocolError(f"sampled completion time: the {name} overflows a float")
     qs = (0.5, 0.9, 0.99)

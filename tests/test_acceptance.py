@@ -128,7 +128,7 @@ def test_criterion_4_perfect_world_identity():
                     link=link, noise=NoiseParams(1.0, 1.0, 0.0), m=m, target_span=span
                 )
                 result = run_protocol(cfg)
-                assert abs(fidelity(result.final.state) - 1.0) < EXACT, (m, span)
+                assert abs(fidelity(result.final) - 1.0) < EXACT, (m, span)
 
 
 def test_criterion_5_fidelity_curves_ordered_saturating_and_bracketed():
@@ -141,7 +141,7 @@ def test_criterion_5_fidelity_curves_ordered_saturating_and_bracketed():
             fids, fps = [], []
             for span in spans:
                 cfg = replication_config(f0, span=span)
-                fids.append(fidelity(run_protocol(cfg).final.state))
+                fids.append(fidelity(run_protocol(cfg).final))
                 fps.append(fixed_point_at_distance(cfg, span).value)
             asym = asymptotic_fidelity(replication_config(f0, span=127))
             curves[f0] = (fids, fps, asym.value)
@@ -199,7 +199,7 @@ def test_criterion_8_headline_thousand_km_scenario():
             link=link, noise=NoiseParams(0.995, 0.995, 0.0), m=1, target_span=span
         )
         result = run_protocol(cfg)
-        assert fidelity(result.final.state) >= 0.75
+        assert fidelity(result.final) >= 0.75
         # within one order of magnitude of a few seconds
         assert 0.3 <= result.total_expected_time <= 30.0
 

@@ -31,7 +31,6 @@ from qrepeater.protocol import (
     ProtocolConfig,
     ProtocolError,
     build_b_pair,
-    elementary_pair,
     nesting_depth,
     run_protocol,
 )
@@ -78,7 +77,7 @@ class TestFixedPointAtDistance:
     def test_dominates_finite_pumping(self):
         cfg = make_config(f0=0.98, span=31)
         fp = fixed_point_at_distance(cfg, 31)
-        finite = fidelity(run_protocol(cfg).final.state)
+        finite = fidelity(run_protocol(cfg).final)
         assert fp.converged
         assert fp.value >= finite - 1e-9
 
@@ -162,7 +161,7 @@ class TestSweep:
         row = rows[0]
         direct = run_protocol(base)
         assert row["fidelity"] == pytest.approx(
-            fidelity(direct.final.state), abs=1e-12
+            fidelity(direct.final), abs=1e-12
         )
         assert row["expected_time_s"] == pytest.approx(
             direct.total_expected_time, rel=1e-12
@@ -225,7 +224,7 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
     """The from-scratch definition of F_FP: run the whole protocol for the
     span, rebuild the top level's B and C pairs, and pump until stall."""
     if span == 1:
-        return FixedPointResult(fidelity(elementary_pair(config).state), 0, True)
+        return FixedPointResult(fidelity(Ladder(config).pair(0)), 0, True)
     depth = nesting_depth(span)
     if isinstance(config.m, int):
         m = config.m
@@ -241,16 +240,17 @@ def reference_fixed_point(config, span, tol=FIXED_POINT_TOL, max_iter=FIXED_POIN
     # The A pair of every span up to this one, span 1 first: the top
     # level's B joins two copies of pairs[-2], and its C joins three links
     # and two copies of pairs[-3] swapped together and purified once.
-    pairs = [elementary_pair(sub), *run_protocol(sub).per_level]
+    ladder = Ladder(sub)
+    pairs = [ladder.pair(d) for d in range(depth + 1)]
     b = build_b_pair(pairs[-2], pairs[-2], sub)
-    elem = pairs[0].state
+    elem = pairs[0]
     if len(pairs) == 2:
         c_state = connect_chain([elem, elem, elem], sub.noise)
     else:
-        swapped = swap(pairs[-3].state, pairs[-3].state, sub.noise)
+        swapped = swap(pairs[-3], pairs[-3], sub.noise)
         inner = purify(swapped, swapped, sub.noise).state
         c_state = connect_chain([elem, inner, elem, inner, elem], sub.noise)
-    state = b.state
+    state = b
     value = fidelity(state)
     small_steps = 0
     for iteration in range(1, max_iter + 1):
@@ -373,24 +373,23 @@ def test_finite_pumping_can_exceed_the_fixed_point():
     cfg = load_config(None, {"p": 0.97, "eta": 0.97, "target_span": 7}).protocol_config()
     result = run_protocol(cfg)
     fp = fixed_point_at_distance(cfg, 7)
-    a3 = result.per_level[0]
+    elem, a3 = Ladder(cfg).pair(0), Ladder(cfg).pair(1)
     b = build_b_pair(a3, a3, cfg)
-    elem = elementary_pair(cfg).state
     swapped = swap(elem, elem, cfg.noise)
     inner = purify(swapped, swapped, cfg.noise).state
     c_state = connect_chain([elem, inner, elem, inner, elem], cfg.noise)
-    values = [fidelity(b.state)]
-    state = b.state
+    values = [fidelity(b)]
+    state = b
     for _ in range(fp.iterations):
         state = purify(state, c_state, cfg.noise).state
         values.append(fidelity(state))
     assert values[0] == pytest.approx(0.69845, abs=5e-6)
-    assert values[3] == fidelity(result.final.state)
+    assert values[3] == fidelity(result.final)
     assert values[3] == pytest.approx(0.69411, abs=5e-6)
     assert all(x >= y for x, y in zip(values[3:], values[4:]))
     assert fp.converged and values[-1] == fp.value
     assert fp.value == pytest.approx(0.69113, abs=5e-6)
-    assert fidelity(result.final.state) > fp.value
+    assert fidelity(result.final) > fp.value
 
 
 def per_point_asymptote(config):
@@ -422,10 +421,10 @@ def per_point_sweep_rows(base, axes):
             if ladder.levels:
                 fp = _pumped_fixed_point(ladder.levels[-1], cfg.noise)
             else:
-                fp = FixedPointResult(fidelity(final.state), 0, True)
+                fp = FixedPointResult(fidelity(final), 0, True)
             asym = per_point_asymptote(cfg)
             row.update(
-                fidelity=fidelity(final.state), f_fp=fp.value, f_inf=asym.value,
+                fidelity=fidelity(final), f_fp=fp.value, f_inf=asym.value,
                 expected_time_s=ladder.time(cfg.depth).mean, error="",
             )
         except (ValueError, ProtocolError) as exc:
@@ -495,18 +494,19 @@ class TestSweepSharesOneWalkPerLadder:
             f0: max(6, per_point_asymptote(apply_overrides(base, f0=f0)).iterations)
             for f0 in README_AXES["f0"]
         }
-        builds = Counter()
+        builds = []
         real = protocol.build_b_pair
 
-        def counting(a_left, a_right, config):
-            builds[config.f0, a_left.span] += 1
+        def logged(a_left, a_right, config):
+            builds.append(config.f0)
             return real(a_left, a_right, config)
 
-        monkeypatch.setattr(protocol, "build_b_pair", counting)
+        monkeypatch.setattr(protocol, "build_b_pair", logged)
         sweep(base, axes)
-        assert set(builds.values()) == {1}
-        assert Counter(f0 for f0, _ in builds) == Counter(deepest)
-        assert sum(builds.values()) == sum(deepest.values())
+        # A walk builds its levels in order, so one call per level below its
+        # deepest means no level is built twice.
+        assert Counter(builds) == Counter(deepest)
+        assert sum(deepest.values()) == len(builds)
 
     def test_readme_grid_builds_each_level_once(self, monkeypatch):
         self.assert_builds_each_level_once(monkeypatch, README_AXES)
@@ -543,20 +543,23 @@ class TestSweepSharesOneWalkPerLadder:
         ladder = Ladder(cfg)
         ladder.pair(depth)
         expected_prefixes = [
-            (elementary_pair(cfg), ladder.time(0), FixedPointResult(0.98, 0, True))
+            (ladder.pair(0), ladder.time(0), FixedPointResult(0.98, 0, True))
         ] + [
             (level.a, ladder.time(d), _pumped_fixed_point(level, cfg.noise))
             for d, level in enumerate(ladder.levels, start=1)
         ]
-        builds = Counter()
+        # One build per level, in order: level i joins two copies of depth i's pair.
+        expected_builds = [
+            ladder.pair(d) for d in range(max(depth, expected_asymptote.iterations))
+        ]
+        builds = []
         real = protocol.build_b_pair
 
-        def counting(a_left, a_right, config):
-            builds[a_left.span] += 1
+        def logged(a_left, a_right, config):
+            builds.append(a_left)
             return real(a_left, a_right, config)
 
-        analysis._walk.cache_clear()
-        monkeypatch.setattr(protocol, "build_b_pair", counting)
+        monkeypatch.setattr(protocol, "build_b_pair", logged)
         # A fresh but equal config, as each command resolves its own.
         cfg = make_config(f0=0.98, span=127)
         # Span 1 reads the elementary pair and builds no level.
@@ -565,8 +568,7 @@ class TestSweepSharesOneWalkPerLadder:
         assert asymptotic_fidelity(cfg) == expected_asymptote
         assert prefix_fixed_points(cfg) == expected_prefixes
         assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][2]
-        assert set(builds.values()) == {1}
-        assert sum(builds.values()) == max(depth, expected_asymptote.iterations)
+        assert builds == expected_builds
 
     def test_interrupted_level_is_rebuilt_not_lost(self, monkeypatch):
         # An exception that is not a protocol error stops a level mid-build;
@@ -580,7 +582,6 @@ class TestSweepSharesOneWalkPerLadder:
                 raise KeyboardInterrupt
             return real(inner, config)
 
-        analysis._walk.cache_clear()
         monkeypatch.setattr(protocol, "build_c_pair", interrupted)
         with pytest.raises(KeyboardInterrupt):
             fixed_point_at_distance(cfg, 63)

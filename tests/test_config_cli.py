@@ -297,6 +297,13 @@ class TestMainEntry:
         assert main(["headline", f"--distance-km={distance}"]) == 2
         assert "expected time overflows a float at level 208" in capsys.readouterr().err
 
+    def test_headline_span_overflow_names_distance_and_l0(self, capsys):
+        # 1e308 / 1e-3 is infinite, so no span can be rounded up from it.
+        assert main(["headline", "--distance-km", "1e308", "--l0-km", "1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "distance_km / l0_km overflows a float" in err
+
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("seed = -3\n")

@@ -30,7 +30,7 @@ from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity
 from qrepeater.channel import LinkParams
 from qrepeater.exact import purify_oracle, swap_oracle
 from qrepeater.ops import NoiseParams, connect_chain, purify, swap
-from qrepeater.protocol import Level, PairRecord, ProtocolConfig, ProtocolError, pump
+from qrepeater.protocol import Level, ProtocolConfig, ProtocolError, pump
 
 ORACLE_TOL = 1e-12
 
@@ -43,22 +43,15 @@ def config_for(noise, span=3):
     return ProtocolConfig(link=LinkParams(tc_s=70e-6), noise=noise, m=1, target_span=span)
 
 
-def records(b_state, c_state, span=3):
-    return (
-        PairRecord("B", span, b_state),
-        PairRecord("C", span, c_state),
-    )
-
-
 # References: the loops as they were written before they kept plain floats,
 # iterating the public kernels and building a state every round.
 
 def reference_pump(b, c, m, config, level=None):
     where = f" at level {level}" if level is not None else ""
-    state = b.state
+    state = b
     probs = []
     for step in range(m):
-        outcome = purify(state, c.state, config.noise)
+        outcome = purify(state, c, config.noise)
         if not outcome.purifiable:
             raise ProtocolError(
                 f"unpurifiable pump step {step + 1}{where}: acceptance"
@@ -70,11 +63,11 @@ def reference_pump(b, c, m, config, level=None):
 
 
 def reference_fixed_point(level, noise):
-    state = level.b.state
+    state = level.b
     value = fidelity(state)
     small_steps = 0
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
-        outcome = purify(state, level.c.state, noise)
+        outcome = purify(state, level.c, noise)
         if not outcome.purifiable:
             return FixedPointResult(value, iteration, False)
         state = outcome.state
@@ -107,8 +100,8 @@ def pump_outcome(b, c, m, config, level):
     if isinstance(out[0], type):
         return out
     a, probs = out
-    assert a.species == "A" and a.span == b.span
-    return bits(a.state), [q.hex() for q in probs]
+    assert type(a) is BellDiagonalState
+    return bits(a), [q.hex() for q in probs]
 
 
 def reference_pump_outcome(b, c, m, config, level):
@@ -138,30 +131,28 @@ class TestLoopsMatchPublicKernels:
     )
     def test_pump(self, b, c, m, p, eta, level):
         cfg = config_for(NoiseParams(p, eta))
-        b_rec, c_rec = records(b, c)
-        expected = reference_pump_outcome(b_rec, c_rec, m, cfg, level)
-        assert pump_outcome(b_rec, c_rec, m, cfg, level) == expected
+        expected = reference_pump_outcome(b, c, m, cfg, level)
+        assert pump_outcome(b, c, m, cfg, level) == expected
 
     @pytest.mark.parametrize("level", [None, 2])
     def test_pump_unpurifiable_step_message(self, level):
         # Pure Psi- kept, pure Psi+ fodder, perfect operations: the first
         # round never accepts; at p < 1 it does, and later rounds run.
-        b_rec, c_rec = records(PSI_MINUS, PSI_PLUS)
+        b, c = PSI_MINUS, PSI_PLUS
         cfg = config_for(NoiseParams(1.0, 1.0))
-        expected = reference_pump_outcome(b_rec, c_rec, 3, cfg, level)
+        expected = reference_pump_outcome(b, c, 3, cfg, level)
         assert expected[0] is ProtocolError
         assert "unpurifiable pump step 1" in expected[1]
-        assert pump_outcome(b_rec, c_rec, 3, cfg, level) == expected
+        assert pump_outcome(b, c, 3, cfg, level) == expected
         noisy = config_for(NoiseParams(0.9, 1.0))
-        assert pump_outcome(b_rec, c_rec, 3, noisy, level) == reference_pump_outcome(
-            b_rec, c_rec, 3, noisy, level
+        assert pump_outcome(b, c, 3, noisy, level) == reference_pump_outcome(
+            b, c, 3, noisy, level
         )
 
     @settings(deadline=None)  # a loop may run all FIXED_POINT_MAX_ITER rounds
     @given(b=loop_states, c=loop_states, p=reliabilities, eta=reliabilities)
     def test_fixed_point(self, b, c, p, eta):
-        b_rec, c_rec = records(b, c)
-        level = Level(b_rec, c_rec, (), None, b_rec)
+        level = Level(b, c, (), None, b)
         noise = NoiseParams(p, eta)
         expected = fixed_point_outcome(reference_fixed_point, level, noise)
         assert fixed_point_outcome(_pumped_fixed_point, level, noise) == expected
@@ -171,15 +162,14 @@ class TestLoopsMatchPublicKernels:
         # States near the operating point, where the loop runs its longest.
         noise = NoiseParams(p, p)
         for f_b, f_c in [(0.95, 0.9), (0.99, 0.97), (0.8, 0.75)]:
-            b_rec, c_rec = records(from_fidelity(f_b, 0.2), from_fidelity(f_c, 0.1))
-            level = Level(b_rec, c_rec, (), None, b_rec)
+            b = from_fidelity(f_b, 0.2)
+            level = Level(b, from_fidelity(f_c, 0.1), (), None, b)
             expected = fixed_point_outcome(reference_fixed_point, level, noise)
             assert expected[2] and expected[1] > 2
             assert fixed_point_outcome(_pumped_fixed_point, level, noise) == expected
 
     def test_fixed_point_first_round_unpurifiable(self):
-        b_rec, c_rec = records(PSI_MINUS, PSI_PLUS)
-        level = Level(b_rec, c_rec, (), None, b_rec)
+        level = Level(PSI_MINUS, PSI_PLUS, (), None, PSI_MINUS)
         noise = NoiseParams(1.0, 1.0)
         expected = fixed_point_outcome(reference_fixed_point, level, noise)
         assert expected == ((1.0).hex(), 1, False)
@@ -218,17 +208,15 @@ class TestLoopsMatchOracle:
     oracle, iterated round by round."""
 
     def test_pump(self, noise):
-        b_rec, c_rec = records(
-            from_fidelity(0.93, noise.upsilon), from_fidelity(0.88, noise.upsilon)
-        )
+        b, c = from_fidelity(0.93, noise.upsilon), from_fidelity(0.88, noise.upsilon)
         cfg = config_for(noise)
-        ref, ref_probs = b_rec.state, []
+        ref, ref_probs = b, []
         for m in range(1, 6):
-            oracle = purify_oracle(ref, c_rec.state, noise)
+            oracle = purify_oracle(ref, c, noise)
             ref = oracle.state
             ref_probs.append(oracle.success_prob)
-            a, probs = pump(b_rec, c_rec, m, cfg)
-            assert max_dev(a.state, ref) <= ORACLE_TOL
+            a, probs = pump(b, c, m, cfg)
+            assert max_dev(a, ref) <= ORACLE_TOL
             assert np.max(np.abs(np.subtract(probs, ref_probs))) <= ORACLE_TOL
 
     def test_connect_chain(self, noise):
