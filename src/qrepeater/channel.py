@@ -147,7 +147,7 @@ def photon_mode_oracle(
     """
     _check_unit("p_em", p_em)
     _check_unit("eps", eps)
-    check_sampler_args(seed, trials)
+    seed, trials = check_sampler_args(seed, trials)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -170,11 +170,13 @@ def photon_mode_oracle(
     return PhotonOracleResult(p_hat, f0_hat, p_se, f0_se)
 
 
-def check_sampler_args(seed: int, trials: int) -> None:
-    """Both samplers' check, run before numpy loads: int seed >= 0, int trials >= 1."""
+def check_sampler_args(seed: int, trials: int) -> tuple[int, int]:
+    """Both samplers' check, run before numpy loads: non-bool integral seed >= 0, trials >= 1."""
+    import numbers  # here, not at module load: commands that never sample skip it
     for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
             raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return int(seed), int(trials)
 
 
 def _check_unit(name: str, value: float) -> None:

@@ -343,6 +343,12 @@ def _link_max(rng, rate: float, unit: float, racers: int) -> float:
     return math.ceil(max(rng.standard_exponential(racers).tolist()) / rate) * unit
 
 
+def _link_max_pair(rng, rate: float, unit: float, racers: int) -> tuple[float, float]:
+    """Two consecutive :func:`_link_max` trials from one draw of 2 * racers."""
+    d = rng.standard_exponential(2 * racers).tolist()
+    return math.ceil(max(d[:racers]) / rate) * unit, math.ceil(max(d[racers:]) / rate) * unit
+
+
 def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDistribution:
     """Discrete-event sampling of the protocol's completion time.
 
@@ -363,13 +369,14 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     factors; at p = eta = 0.95, m = 4, span 31, 2 trials take over 60 s.
     Restarts end in tails of a few trials, where numpy's per-call cost
     dominates, so a stage asked for one trial, or a restart left with one,
-    runs on Python floats (:func:`_link_max`): the same generator calls and
-    float operations in the same order, so the same samples.
+    runs on Python floats (:func:`_link_max`), and one call draws an attempt's
+    base and first round where both race links (level 0, level 1's helpers).
+    Every path takes the same variates in the same order: the same samples.
 
     Raises :class:`ProtocolError` if a sample, the mean or the std
     overflows a float.
     """
-    check_sampler_args(seed, trials)
+    seed, trials = check_sampler_args(seed, trials)
     global np
     if np is None:
         import numpy as np
@@ -388,30 +395,44 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
             return _link_max(rng, rate, unit, racers)
         return _link_maxima(rng, rate_a, unit_a, count, racers)
 
-    def restart_one(sample_base, sample_round, level: int, probs, total: float = 0.0) -> float:
+    def opening(sample_base, sample_round, level: int, racers: int, count: int):
+        # An attempt's base build plus its first round and tc; racers: one draw, base rows first.
+        if not racers:
+            base, first = sample_base(level, count), sample_round(level, count)
+        elif count == 1:
+            base, first = map(race, _link_max_pair(rng, rate, unit, racers))
+        else:
+            both = race(sample_links(2 * count, racers))
+            base, first = both[:count], both[count:]
+        base += first + (tc if count == 1 else tc_a)
+        return base
+
+    def restart_one(sample_base, sample_round, level, racers, probs, total: float = 0.0) -> float:
         # restarting for one trial on floats, adding attempts to total in order (0.0 + a is a).
         while True:
-            attempt = sample_base(level, 1)
-            for q in probs:
-                attempt += sample_round(level, 1) + tc
-                if not rng.random(1)[0] < q:
+            attempt = opening(sample_base, sample_round, level, racers, 1)
+            ok = rng.random(1)[0] < probs[0]
+            for q in probs[1:]:
+                if not ok:
                     break
-            else:
+                attempt += sample_round(level, 1) + tc
+                ok = rng.random(1)[0] < q
+            if ok:
                 return total + attempt
             total += attempt
 
-    def restarting(sample_base, sample_round, level: int, probs, count: int):
+    def restarting(sample_base, sample_round, level: int, probs, count: int, racers: int):
         # The sampler's copy of timing.restarting_rounds: each attempt pays a
         # base build, then one round plus tc per entry of probs; a rejection
         # restarts it.  The first attempt is the total; later ones add to it.
         if not probs:
             return sample_base(level, count)
+        stage = sample_base, sample_round, level, racers
         if count == 1:
-            return restart_one(sample_base, sample_round, level, probs)
-        total = attempt = sample_base(level, count)
+            return restart_one(*stage, probs)
+        total = attempt = opening(*stage, count)
         todo = None  # the trials of total in attempt; None: all of them
         while True:
-            attempt += sample_round(level, attempt.size) + tc_a
             ok = rng.random(attempt.size) < probs[0]  # accepted so far
             for q in probs[1:]:
                 live = ok.nonzero()[0]
@@ -427,14 +448,15 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
             todo = redo if todo is None else todo[redo]
             if todo.size == 1:
                 (i,) = todo
-                total[i] = restart_one(sample_base, sample_round, level, probs, float(total[i]))
+                total[i] = restart_one(*stage, probs, float(total[i]))
                 return total
-            attempt = sample_base(level, todo.size)
+            attempt = opening(*stage, todo.size)
 
     def sample_level(level: int, count: int):
         if level < 0:
             return sample_links(count, 1)
-        return restarting(sample_b, sample_c, level, levels[level].step_probs, count)
+        racers = 3 if level == 0 else 0  # level 0's B and C each race 3 links
+        return restarting(sample_b, sample_c, level, levels[level].step_probs, count, racers)
 
     def race(first, *rest):
         # Concurrent stages finish at their max, then a swap round adds tc.
@@ -460,13 +482,13 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     def sample_c(level: int, count: int):
         if level == 0:
             return race(sample_links(count, 3))
-        helper = (sample_swapped, sample_swapped, level - 2, (levels[level].helper_q,), count)
+        probs, racers = (levels[level].helper_q,), 2 if level == 1 else 0  # level -1: 2 links
+        helper = (sample_swapped, sample_swapped, level - 2, probs, count, racers)
         return race(restarting(*helper), restarting(*helper), sample_links(count, 3))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = sample_level(top - 1, trials)
-        if trials == 1:
-            samples = np.array([samples])
+        # A copy: level-0 arrays are halves of merged draws, and one trial is a float.
+        samples = np.array(sample_level(top - 1, trials), ndmin=1)
         peak, mean = samples.max(), float(samples.mean())
         std = float(samples.std(ddof=1)) if trials > 1 else 0.0
         if not math.isfinite(std) and math.isfinite(peak):

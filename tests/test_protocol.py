@@ -2,6 +2,7 @@
 models and the discrete-event sampler."""
 
 import hashlib
+import itertools
 import math
 import os
 import statistics
@@ -21,6 +22,7 @@ from qrepeater.channel import (
     channel_efficiency,
     entangle_success_prob,
     p_em_for_fidelity,
+    photon_mode_oracle,
 )
 from qrepeater.config import RunConfig
 from qrepeater.ops import NoiseParams
@@ -414,6 +416,14 @@ class CountingGenerator:
         return logged
 
 
+def merged(calls):
+    """A draw log with adjacent calls of one kind merged into one, their
+    variates summed: numpy fills a draw one variate after another, so two
+    logs that merge to the same list take the same stream."""
+    groups = itertools.groupby(calls, key=lambda call: call[0])
+    return [(kind, sum(size for _, size in group)) for kind, group in groups]
+
+
 def reference_monte_carlo_samples(config, rng, trials):
     """The sampler body before its link maxima came from exponentials,
     kept as a test-only reference: ``rng.geometric(...).max(axis=1)``,
@@ -516,8 +526,15 @@ class TestSamplerMatchesGeometricReference:
                     expected = reference_monte_carlo_samples(cfg, reference, trials)
                     got = monte_carlo_time(cfg, seed, trials).samples
                     assert got.tobytes() == expected.tobytes()
-                    assert gens[-1].calls == reference.calls
+                    assert merged(gens[-1].calls) == merged(reference.calls)
                     assert gens[-1].generator.random() == reference.generator.random()
+                    # A level-0 or helper attempt draws its base and first round in one call.
+                    if span >= 3 and m != 0:
+                        calls = [
+                            sum(kind == "standard_exponential" for kind, _ in log)
+                            for log in (gens[-1].calls, reference.calls)
+                        ]
+                        assert calls[0] < calls[1]
 
     @pytest.mark.parametrize("m", [0, 3, (2, 0, 1, 0)], ids=str)
     def test_one_trial_never_reaches_the_array_path(self, m, monkeypatch):
@@ -528,6 +545,18 @@ class TestSamplerMatchesGeometricReference:
         for seed in (1, 2):
             got = monte_carlo_time(sampler_config(31, m, None, None), seed, 1).samples
             assert got.dtype == np.float64 and got.shape == (1,)
+
+    def test_level_0_and_helper_attempts_draw_pairs(self, monkeypatch):
+        # The draw counts above see a lost level-0 merge, not a lost helper one.
+        pair, racers = protocol._link_max_pair, []
+
+        def spy(rng, rate, unit, k):
+            racers.append(k)
+            return pair(rng, rate, unit, k)
+
+        monkeypatch.setattr(protocol, "_link_max_pair", spy)
+        monte_carlo_time(sampler_config(7, 1, None, None), 1, 1)
+        assert set(racers) == {2, 3}
 
     def test_link_draws_use_inversion(self):
         # numpy draws a geometric by inversion of an exponential only for
@@ -557,6 +586,30 @@ class TestSamplerMatchesGeometricReference:
         assert all(type(row) is float for row in rows)
         assert np.array(rows).tobytes() == expected.tobytes()
         assert new.random() == old.random() == one.random()
+
+    @given(
+        p=st.floats(1e-12, entangle_success_prob(1.0, 1.0)),
+        racers=st.sampled_from([1, 2, 3]),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_one_draw_equals_two(self, numpy_loaded, p, racers, count, seed):
+        """The merged draw of an attempt's base and first round: one call
+        for 2 * count trials gives the two calls' maxima, rows in order,
+        and leaves the generator in the same state; so does the one-trial
+        pair on floats."""
+        rate, unit = -math.log1p(-p), 1.1e-4
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        both = protocol._link_maxima(one, rate, unit, 2 * count, racers)
+        halves = [protocol._link_maxima(two, rate, unit, count, racers) for _ in range(2)]
+        assert both.tobytes() == np.concatenate(halves).tobytes()
+        assert one.random() == two.random()
+        pair_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pair = protocol._link_max_pair(pair_rng, rate, unit, racers)
+        singles = tuple(protocol._link_max(single_rng, rate, unit, racers) for _ in range(2))
+        assert all(type(t) is float for t in pair)
+        assert np.array(pair).tobytes() == np.array(singles).tobytes()
+        assert pair_rng.random() == single_rng.random()
 
     BAD_ARGS = {
         "trials-float": ({"seed": 1, "trials": 2.5}, "trials must be an int >= 1"),
@@ -600,3 +653,28 @@ class TestSamplerMatchesGeometricReference:
         assert proc.returncode == 0, proc.stderr
         error, numpy_loaded = proc.stdout.splitlines()
         assert error.startswith(message) and numpy_loaded == "False"
+
+    # numpy's integers are ints; its bools and floats are not.
+    NUMPY_BAD_ARGS = {
+        "trials-numpy-bool": ({"seed": 1, "trials": np.True_}, "trials must be an int >= 1"),
+        "trials-numpy-float": ({"seed": 1, "trials": np.float64(5)}, "trials must be an int >= 1"),
+        "seed-numpy-bool": ({"seed": np.False_, "trials": 5}, "seed must be an int >= 0"),
+        "seed-numpy-negative": ({"seed": np.int64(-1), "trials": 5}, "seed must be an int >= 0"),
+    }
+
+    @pytest.mark.parametrize("kwargs, message", NUMPY_BAD_ARGS.values(), ids=NUMPY_BAD_ARGS)
+    def test_numpy_bools_floats_and_negatives_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_time(make_config(span=7), **kwargs)
+        with pytest.raises(ValueError, match=message):
+            photon_mode_oracle(0.05, 0.5, **kwargs)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_sample_as_ints(self, integer):
+        cfg = make_config(span=7)
+        got = monte_carlo_time(cfg, seed=integer(1), trials=integer(10))
+        want = monte_carlo_time(cfg, seed=1, trials=10)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert type(got.n_trials) is int
+        oracle = photon_mode_oracle(0.1, 1.0, trials=integer(200), seed=integer(3))
+        assert repr(oracle) == repr(photon_mode_oracle(0.1, 1.0, trials=200, seed=3))
