@@ -1,17 +1,17 @@
-"""Fixed-point and asymptotic fidelity analysis, plus parameter sweeps.
+"""Fixed points, the distance asymptote and the tables the CLI prints.
 
 Pumping a stored pair forever does not push its fidelity to one when
 gates and measurements err: the gain per round shrinks until it balances
 the noise injected by the round itself, and the fidelity stalls at a
 fixed point that depends on the distance.  Across nesting levels those
 fixed points approach a distance-independent asymptote.  Both limits are
-computed here by direct iteration of the same maps the protocol uses,
-reading the levels of one :class:`~qrepeater.protocol.Ladder` per config
-that also keeps the fixed point at each depth.  Both stop by the module
-constants: FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed point,
-ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote.  A fixed
-point pumps plain float weights (:func:`~qrepeater.ops.purify_weights`).
-Fixed points and the asymptote read states only, never a time.
+computed by direct iteration of the same maps the protocol uses, on plain
+float weights (:func:`~qrepeater.ops.purify_weights`), and stop by the
+module constants FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed
+point, ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote; they
+read states only, never a time.  Every table the CLI prints is one
+:func:`table`: per grid point, the :data:`COLUMNS` it names, read from a
+:class:`~qrepeater.protocol.Ladder` that also keeps each depth's fixed point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
-from .bell import BellDiagonalState, fidelity, normalise, weights_of
+from .bell import fidelity, normalise, weights_of
 from .channel import LinkParams
 from .ops import NoiseParams, purify, purify_weights  # noqa: F401  (bench/tests reads it)
 from .protocol import (
@@ -31,7 +31,6 @@ from .protocol import (
     nesting_depth,
     pumping_depth,
 )
-from .timing import Duration
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 10_000
@@ -48,10 +47,6 @@ class FixedPointResult:
     value: float
     iterations: int
     converged: bool
-
-
-#: A failed sweep point's result columns; its ``error`` holds the message.
-_NO_RESULT = dict.fromkeys(("fidelity", "f_fp", "f_inf", "expected_time_s"))
 
 
 def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
@@ -111,9 +106,14 @@ class _Walk(Ladder):
         return FixedPointResult(previous, ASYMPTOTE_MAX_LEVELS, False)
 
 
-#: The last config's walk, kept so that successive calls on one config (as
-#: ``fixed-point`` makes) share it.
-_walk = functools.lru_cache(maxsize=1)(_Walk)
+#: A table's result columns, each read from a point's walk at its depth, in
+#: the order a row reads them; a row reports the first error it meets.
+COLUMNS = {
+    "expected_time_s": lambda walk, depth: walk.time(depth).mean,
+    "f_fp": lambda walk, depth: walk.fixed_point(depth).value,
+    "fidelity": lambda walk, depth: fidelity(walk.pair(depth)),
+    "f_inf": lambda walk, depth: walk.asymptote().value,
+}
 
 
 def fixed_point_at_distance(config: ProtocolConfig, span: int) -> FixedPointResult:
@@ -129,7 +129,7 @@ def fixed_point_at_distance(config: ProtocolConfig, span: int) -> FixedPointResu
     pumps give 0.69411, and further rounds lower it monotonically to the
     fixed point 0.69113.
     """
-    return _walk(config).fixed_point(nesting_depth(span))
+    return _Walk(config).fixed_point(nesting_depth(span))
 
 
 def asymptotic_fidelity(config: ProtocolConfig) -> FixedPointResult:
@@ -138,16 +138,7 @@ def asymptotic_fidelity(config: ProtocolConfig) -> FixedPointResult:
     most ASYMPTOTE_TOL; no level beyond ASYMPTOTE_MAX_LEVELS is built.  A
     fixed point falling below 0.5 means entanglement is lost and is
     reported as not converged."""
-    return _walk(config).asymptote()
-
-
-def prefix_fixed_points(
-    config: ProtocolConfig,
-) -> list[tuple[BellDiagonalState, Duration, FixedPointResult]]:
-    """The purified pair, its time and the fixed point at every depth up
-    to the config's, span 1 first, read from one ladder."""
-    walk = _walk(config)
-    return [(walk.pair(d), walk.time(d), walk.fixed_point(d)) for d in range(config.depth + 1)]
+    return _Walk(config).asymptote()
 
 
 def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
@@ -177,37 +168,44 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 
 
-def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> tuple[dict, ...]:
-    """Evaluate the protocol, its fixed point and its asymptote on every
-    point of the cartesian grid; one row per point, in lexicographic
-    order, holding the point's axis values and its results.  Every point
-    is resolved first and grouped by its ladder; then one walk per group
-    is built, read by that group's points and dropped before the next, so
-    each level, its fixed point and the asymptote are built once and one
-    walk is alive at a time.  A point that fails records the message in
-    its row's ``error`` field and the sweep continues."""
+def table(
+    base_config: ProtocolConfig, axes: Mapping[str, Sequence], columns: Sequence[str]
+) -> tuple[dict, ...]:
+    """One row per point of the cartesian grid, in lexicographic order: its
+    axis values, the named ``columns`` that :data:`COLUMNS` holds (other
+    names are skipped) and its ``error`` ("" if none; else the columns are
+    None).  Points are grouped by ladder; one walk per group is built, read
+    only as far as the columns need and dropped before the next is built."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
+    results = [name for name in columns if name in COLUMNS]
     rows = tuple(dict(zip(axes, point)) for point in itertools.product(*axes.values()))
-    # The ladder does not depend on the target span (a per-level m is
-    # already stretched to it), so the other four fields key its walk.
+    # The ladder does not depend on the target span, and a per-level m
+    # reuses its last entry for every deeper level, so m with trailing
+    # repeats dropped and the other three fields key its walk.
     groups: dict[tuple, list[tuple[dict, ProtocolConfig]]] = {}
     for row in rows:
         try:
             cfg = apply_overrides(base_config, **row)
         except ValueError as exc:
-            row.update(_NO_RESULT, error=str(exc))
+            row.update(dict.fromkeys(results), error=str(exc))
             continue
-        groups.setdefault((cfg.link, cfg.noise, cfg.m, cfg.f0), []).append((row, cfg))
+        m = cfg.m
+        while not isinstance(m, int) and len(m) > 1 and m[-1] == m[-2]:
+            m = m[:-1]
+        groups.setdefault((cfg.link, cfg.noise, m, cfg.f0), []).append((row, cfg))
     for points in groups.values():
         walk = _Walk(points[0][1])
         for row, cfg in points:
             try:
-                time, fp = walk.time(cfg.depth), walk.fixed_point(cfg.depth)
-                row.update(
-                    fidelity=fidelity(walk.pair(cfg.depth)), f_fp=fp.value,
-                    f_inf=walk.asymptote().value, expected_time_s=time.mean, error="",
-                )
+                values = {n: read(walk, cfg.depth) for n, read in COLUMNS.items() if n in results}
+                row.update({name: values[name] for name in results}, error="")
             except ValueError as exc:
-                row.update(_NO_RESULT, error=str(exc))
+                row.update(dict.fromkeys(results), error=str(exc))
     return rows
+
+
+def sweep(base_config: ProtocolConfig, axes: Mapping[str, Sequence]) -> tuple[dict, ...]:
+    """The :func:`table` of the protocol's fidelity, its fixed point, the
+    asymptote and the expected time."""
+    return table(base_config, axes, ("fidelity", "f_fp", "f_inf", "expected_time_s"))

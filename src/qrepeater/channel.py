@@ -18,6 +18,9 @@ from .bell import BellDiagonalState, from_fidelity
 #: Signal velocity in fiber used for the default classical-heralding time.
 FIBER_SIGNAL_SPEED_M_PER_S = 2.0e8
 
+#: What every command says of a link whose success probability is zero.
+NEVER_SUCCEEDS = "elementary link never succeeds (P = 0)"
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -109,7 +112,7 @@ def expected_link_time(link: LinkParams) -> float:
     (t0 + tc) / P."""
     prob = entangle_success_prob(link.p_em, channel_efficiency(link))
     if prob <= 0.0:
-        raise ValueError("link success probability is zero; expected time diverges")
+        raise ValueError(NEVER_SUCCEEDS)
     return link.attempt_duration_s / prob
 
 

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import replace
 
-from .analysis import asymptotic_fidelity, fixed_point_at_distance, prefix_fixed_points, sweep
+from .analysis import table
 from .bell import fidelity
 from .channel import (
     channel_efficiency,
@@ -66,8 +66,18 @@ def _render_csv(config: RunConfig, command: str, header: list[str], rows: list[l
 def _sweep_csv(config: RunConfig, command: str, axes: dict, columns: list[str]) -> str:
     """The sweep table over ``axes``: the axis values, then ``columns``."""
     header = [*axes, *columns]
-    rows = [[row[key] for key in header] for row in sweep(config.protocol_config(), axes)]
+    rows = [[row[key] for key in header] for row in table(config.protocol_config(), axes, columns)]
     return _render_csv(config, command, header, rows)
+
+
+def _span_rows(config: RunConfig, columns: list[str]) -> list[list]:
+    """The span, its distance and ``columns`` at every prefix span 1, 3,
+    ..., target; the first span that fails raises its error."""
+    base = config.protocol_config()
+    rows = table(base, {"target_span": [2 ** (d + 1) - 1 for d in range(base.depth + 1)]}, columns)
+    if error := next((row["error"] for row in rows if row["error"]), None):
+        raise ValueError(error)
+    return [[s := row["target_span"], s * config.l0_km, *map(row.get, columns)] for row in rows]
 
 
 def cmd_link(config: RunConfig, oracle: bool = False) -> str:
@@ -91,19 +101,12 @@ def cmd_link(config: RunConfig, oracle: bool = False) -> str:
 def cmd_simulate(config: RunConfig) -> str:
     """Fidelity, fixed point and expected time at every prefix span up to
     the target; ``time_in_t0_units`` is empty for zero-time links."""
-    pcfg = config.protocol_config()
-    # The ladder first, so a P = 0 link fails with its message, as in every command.
-    prefixes = prefix_fixed_points(pcfg)
-    t_link = expected_link_time(pcfg.link)
-    rows = []
-    for depth, (pair, time, fp) in enumerate(prefixes):
-        span, t, fid = 2 ** (depth + 1) - 1, time.mean, fidelity(pair)
-        units = t / t_link if t_link else None
-        rows.append([span, span * config.l0_km, fid, fp.value, t, units])
-    header = [
-        "span_segments", "distance_km", "fidelity", "f_fp", "expected_time_s", "time_in_t0_units"
-    ]
-    return _render_csv(config, "simulate", header, rows)
+    header = ["span_segments", "distance_km", "fidelity", "f_fp", "expected_time_s"]
+    rows = _span_rows(config, header[2:])
+    t_link = expected_link_time(config.protocol_config().link)
+    for row in rows:
+        row.append(row[-1] / t_link if t_link else None)
+    return _render_csv(config, "simulate", [*header, "time_in_t0_units"], rows)
 
 
 def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
@@ -111,14 +114,8 @@ def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
     grid of (F_FP at target span, F_inf) per point."""
     if axes:
         return _sweep_csv(config, "fixed-point", axes, ["f_fp", "f_inf", "error"])
-    pcfg = config.protocol_config()
-    asym = asymptotic_fidelity(pcfg)
-    rows = [
-        [span, span * config.l0_km, fixed_point_at_distance(pcfg, span).value, asym.value]
-        for span in (2 ** (d + 1) - 1 for d in range(pcfg.depth + 1))
-    ]
     header = ["span_segments", "distance_km", "f_fp", "f_inf"]
-    return _render_csv(config, "fixed-point", header, rows)
+    return _render_csv(config, "fixed-point", header, _span_rows(config, header[2:]))
 
 
 def cmd_sweep(config: RunConfig, axes: dict) -> str:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .bell import BellDiagonalState, from_fidelity, normalise, weights_of
 from .channel import (
+    NEVER_SUCCEEDS,
     LinkParams,
     channel_efficiency,
     check_sampler_args,
@@ -128,7 +129,7 @@ class ProtocolResult:
 def _link_prob_and_unit(config: ProtocolConfig) -> tuple[float, float]:
     prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
     if prob <= 0.0:
-        raise ProtocolError("elementary link never succeeds (P = 0)")
+        raise ProtocolError(NEVER_SUCCEEDS)
     if 1.0 - prob == 1.0:
         raise ProtocolError(
             f"elementary link success probability P = {prob:.3e} is below float"

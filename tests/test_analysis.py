@@ -1,6 +1,8 @@
 """Fixed points, the distance asymptote and parameter sweeps."""
 
+import csv
 import gc
+import io
 import itertools
 import weakref
 from collections import Counter
@@ -19,12 +21,12 @@ from qrepeater.analysis import (
     apply_overrides,
     asymptotic_fidelity,
     fixed_point_at_distance,
-    prefix_fixed_points,
     sweep,
 )
 from qrepeater.bell import fidelity, from_fidelity
-from qrepeater.channel import LinkParams
-from qrepeater.config import load_config
+from qrepeater.channel import LinkParams, expected_link_time
+from qrepeater.cli import main
+from qrepeater.config import RunConfig, load_config
 from qrepeater.ops import NoiseParams, connect_chain, purify, swap
 from qrepeater.protocol import (
     Ladder,
@@ -356,6 +358,31 @@ class TestLadderMatchesFromScratchDefinition:
         for row in sweep(empty, {"target_span": [3, 7]}):
             assert "per-level m" in row["error"] and row["f_inf"] is None
 
+    def test_tuple_m_walk_is_keyed_without_trailing_repeats(self, monkeypatch):
+        # Over spans 1-63, m = (1, 2) stretches to (), (1,), (1, 2), (1, 2, 2),
+        # ...; every tuple from span 7 on reads the ladder of (1, 2).
+        base = apply_overrides(make_config(f0=0.98), m=(1, 2), target_span=63)
+        axes = {"target_span": [1, 3, 7, 15, 31, 63]}
+        expected = per_point_sweep_rows(base, axes)
+        made, builds = [], []
+
+        class CountingWalk(analysis._Walk):
+            def __init__(self, config):
+                made.append(config.m)
+                super().__init__(config)
+
+        real = protocol.build_b_pair
+
+        def logged(a_left, a_right, config):
+            builds.append(config.m)
+            return real(a_left, a_right, config)
+
+        monkeypatch.setattr(analysis, "_Walk", CountingWalk)
+        monkeypatch.setattr(protocol, "build_b_pair", logged)
+        assert sweep(base, axes) == expected
+        assert made == [(), (1,), (1, 2)]
+        assert len(builds) == 38
+
     def test_sweep_repeats_a_failed_asymptote(self):
         # At span 1 the protocol and its fixed point need no pumping, but
         # the asymptote's first level is unpurifiable.
@@ -536,22 +563,31 @@ class TestSweepSharesOneWalkPerLadder:
         assert len(made) == len(README_AXES["f0"])
         assert all(ref() is None for ref in made)
 
-    def test_fixed_point_command_walks_one_ladder(self, monkeypatch):
-        cfg = make_config(f0=0.98, span=127)
-        depth = cfg.depth
-        expected_asymptote = per_point_asymptote(cfg)
+    @pytest.mark.parametrize("command", ["fixed-point", "simulate"])
+    def test_span_table_command_walks_one_ladder(self, command, monkeypatch, capsys):
+        run_config = RunConfig(f0=0.98, target_span=127)
+        cfg = run_config.protocol_config()
         ladder = Ladder(cfg)
-        ladder.pair(depth)
-        expected_prefixes = [
-            (ladder.pair(0), ladder.time(0), FixedPointResult(0.98, 0, True))
-        ] + [
-            (level.a, ladder.time(d), _pumped_fixed_point(level, cfg.noise))
-            for d, level in enumerate(ladder.levels, start=1)
+        ladder.pair(cfg.depth)
+        fixed_points = [FixedPointResult(0.98, 0, True)] + [
+            _pumped_fixed_point(level, cfg.noise) for level in ladder.levels
         ]
-        # One build per level, in order: level i joins two copies of depth i's pair.
-        expected_builds = [
-            ladder.pair(d) for d in range(max(depth, expected_asymptote.iterations))
-        ]
+        asymptote = per_point_asymptote(cfg)
+        expected_rows = []
+        for depth, fp in enumerate(fixed_points):
+            span = 2 ** (depth + 1) - 1
+            if command == "simulate":
+                time = ladder.time(depth).mean
+                values = [fidelity(ladder.pair(depth)), fp.value, time]
+                values.append(time / expected_link_time(cfg.link))
+            else:
+                values = [fp.value, asymptote.value]
+            values = [span * run_config.l0_km, *values]
+            expected_rows.append([str(span), *(f"{v:.12g}" for v in values)])
+        # One build per level, in order: level i joins two copies of depth
+        # i's pair.  Only fixed-point reads the asymptote's deeper levels.
+        deepest = max(cfg.depth, asymptote.iterations) if command == "fixed-point" else cfg.depth
+        expected_builds = [ladder.pair(d) for d in range(deepest)]
         builds = []
         real = protocol.build_b_pair
 
@@ -560,14 +596,12 @@ class TestSweepSharesOneWalkPerLadder:
             return real(a_left, a_right, config)
 
         monkeypatch.setattr(protocol, "build_b_pair", logged)
-        # A fresh but equal config, as each command resolves its own.
-        cfg = make_config(f0=0.98, span=127)
         # Span 1 reads the elementary pair and builds no level.
-        assert fixed_point_at_distance(cfg, 1) == expected_prefixes[0][2]
+        assert fixed_point_at_distance(cfg, 1) == fixed_points[0]
         assert not builds
-        assert asymptotic_fidelity(cfg) == expected_asymptote
-        assert prefix_fixed_points(cfg) == expected_prefixes
-        assert fixed_point_at_distance(cfg, 127) == expected_prefixes[-1][2]
+        assert main([command, "--target-span", "127", "--f0", "0.98"]) == 0
+        lines = [line for line in io.StringIO(capsys.readouterr().out) if line[0] != "#"]
+        assert list(csv.reader(lines))[1:] == expected_rows
         assert builds == expected_builds
 
     def test_interrupted_level_is_rebuilt_not_lost(self, monkeypatch):
@@ -601,13 +635,16 @@ class TestSweepSharesOneWalkPerLadder:
         assert sorted(walk._fixed_points) == [3] and walk.fixed_point(3) is deepest
         assert walk.fixed_point(3) == reference_fixed_point(cfg, 15)
 
-    def test_failed_level_raises_again_for_deeper_levels(self):
+    def test_failed_level_raises_again_for_deeper_levels(self, capsys):
         cfg = unpurifiable_config(3, span=15)
         first = outcome(fixed_point_at_distance, cfg, 7)
         assert first[0] == "ProtocolError" and "level 0" in first[1]
         assert outcome(fixed_point_at_distance, cfg, 15) == first
         assert outcome(asymptotic_fidelity, cfg) == first
-        assert outcome(prefix_fixed_points, cfg) == first
+        link_flags = "--attenuation-db-per-km 0 --p-em 0.1 --p 1 --eta 1 --f0 0"
+        for command in ("simulate", "fixed-point"):
+            assert main(f"{command} {link_flags} --m 3 --target-span 15".split()) == 2
+            assert capsys.readouterr().err == f"error: {first[1]}\n"
         p_zero = apply_overrides(make_config(), l0_km=5000.0)
         assert "(P = 0)" in outcome(asymptotic_fidelity, p_zero)[1]
 

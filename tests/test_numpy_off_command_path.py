@@ -48,6 +48,7 @@ COMMANDS = [
     (["headline"], 0),
     (["simulate"], 0),
     (["fixed-point"], 0),
+    (["fixed-point", "--axis", "m=1,2"], 0),
     (["sweep", "--axis", "f0=0.98,1.0"], 0),
     (["sweep", "--axis", "l0_km=20,5000"], 0),
     (["link"], 0),
