@@ -9,8 +9,9 @@ computed by direct iteration of the same maps the protocol uses, on plain
 float weights (:func:`~qrepeater.ops.purify_weights`), and stop by the
 module constants FIXED_POINT_TOL and FIXED_POINT_MAX_ITER per fixed
 point, ASYMPTOTE_TOL and ASYMPTOTE_MAX_LEVELS for the asymptote; they
-read states only, never a time.  Every table the CLI prints is one
-:func:`table`: per grid point, the :data:`COLUMNS` it names, read from a
+read states only, never a time.  Every number the CLI computes, from the
+link's closed forms to the asymptote, is one of the :data:`COLUMNS` of a
+:func:`table`: per grid point, the columns it names, read from a
 :class:`~qrepeater.protocol.Ladder` that also keeps each depth's fixed point.
 """
 
@@ -22,7 +23,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .bell import fidelity, normalise, weights_of
-from .channel import LinkParams
+from .channel import (
+    LinkParams,
+    channel_efficiency,
+    entangle_success_prob,
+    expected_link_time,
+    initial_fidelity,
+)
 from .ops import NoiseParams, purify, purify_weights  # noqa: F401  (bench/tests reads it)
 from .protocol import (
     Ladder,
@@ -106,10 +113,22 @@ class _Walk(Ladder):
         return FixedPointResult(previous, ASYMPTOTE_MAX_LEVELS, False)
 
 
+def _link_form(closed_form):
+    """The column ``closed_form(p_em, eps)`` of a point's link; it builds no level."""
+    return lambda walk, _: closed_form(walk.config.link.p_em, channel_efficiency(walk.config.link))
+
+
 #: A table's result columns, each read from a point's walk at its depth, in
 #: the order a row reads them; a row reports the first error it meets.
 COLUMNS = {
+    "efficiency": lambda walk, depth: channel_efficiency(walk.config.link),
+    "success_prob": _link_form(entangle_success_prob),
+    "initial_fidelity": _link_form(initial_fidelity),
+    "expected_link_time_s": lambda walk, depth: expected_link_time(walk.config.link),
     "expected_time_s": lambda walk, depth: walk.time(depth).mean,
+    "time_in_t0_units": lambda walk, depth: (
+        walk.time(depth).mean / t if (t := expected_link_time(walk.config.link)) else None
+    ),
     "f_fp": lambda walk, depth: walk.fixed_point(depth).value,
     "fidelity": lambda walk, depth: fidelity(walk.pair(depth)),
     "f_inf": lambda walk, depth: walk.asymptote().value,

@@ -4,9 +4,11 @@ Subcommands: ``link`` (closed-form link report, optionally with the
 photon-mode Monte Carlo check), ``simulate`` (fidelity and time versus
 distance), ``fixed-point`` (pumping fixed points and the distance
 asymptote), ``sweep`` (grids over any parameter) and ``headline`` (the
-1000 km scenario).  Every command emits CSV with the fully resolved
-configuration embedded as ``#`` header comments, so outputs are
-reproducible byte for byte from the file alone.
+1000 km scenario).  Each computes its numbers in one
+:func:`~qrepeater.analysis.table` call (only ``link --oracle`` samples
+on its own) and emits CSV with the fully resolved configuration embedded
+as ``#`` header comments, so outputs are reproducible byte for byte from
+the file alone.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ import csv
 import io
 import math
 import sys
-from dataclasses import replace
 
 from .analysis import table
-from .bell import fidelity
-from .channel import (
-    channel_efficiency,
-    entangle_success_prob,
-    expected_link_time,
-    initial_fidelity,
-    photon_mode_oracle,
-)
+from .channel import photon_mode_oracle
 from .config import FIELD_TYPES, RunConfig, format_resolved, load_config, parse_config_file
-from .protocol import round_span_up, run_protocol
+from .protocol import round_span_up
 
 #: Singlet fidelity above which a Werner-type pair violates the CHSH
 #: inequality: (1 + 3/sqrt(2))/4 rounded to the conventional 0.78.
@@ -44,8 +38,6 @@ _AXIS_TYPES = {**_PHYSICAL_TYPES, "p_eta": float}
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -70,29 +62,30 @@ def _sweep_csv(config: RunConfig, command: str, axes: dict, columns: list[str]) 
     return _render_csv(config, command, header, rows)
 
 
-def _span_rows(config: RunConfig, columns: list[str]) -> list[list]:
-    """The span, its distance and ``columns`` at every prefix span 1, 3,
-    ..., target; the first span that fails raises its error."""
-    base = config.protocol_config()
-    rows = table(base, {"target_span": [2 ** (d + 1) - 1 for d in range(base.depth + 1)]}, columns)
+def _span_rows(config: RunConfig, spans: list[int], columns: list[str]) -> list[list]:
+    """The span, its distance and ``columns`` at each of ``spans``; the
+    first span that fails raises its error."""
+    rows = table(config.protocol_config(), {"target_span": spans}, columns)
     if error := next((row["error"] for row in rows if row["error"]), None):
         raise ValueError(error)
     return [[s := row["target_span"], s * config.l0_km, *map(row.get, columns)] for row in rows]
 
 
+def _span_csv(config: RunConfig, command: str, columns: list[str]) -> str:
+    """The table of ``columns`` at every prefix span 1, 3, ..., target."""
+    spans = [2 ** (d + 1) - 1 for d in range(config.target_span.bit_length())]
+    header = ["span_segments", "distance_km", *columns]
+    return _render_csv(config, command, header, _span_rows(config, spans, columns))
+
+
 def cmd_link(config: RunConfig, oracle: bool = False) -> str:
-    """Closed-form link report: efficiency, success probability, initial
-    fidelity and expected time; ``oracle`` appends Monte Carlo estimates
-    with standard errors."""
-    link = config.protocol_config().link
-    eps = channel_efficiency(link)
-    prob = entangle_success_prob(link.p_em, eps)
-    f0 = initial_fidelity(link.p_em, eps)
-    t_link = expected_link_time(link)
+    """The link closed forms as one table row: efficiency, success probability,
+    initial fidelity and expected time; ``oracle`` appends photon-mode Monte
+    Carlo estimates with standard errors."""
     header = ["efficiency", "success_prob", "initial_fidelity", "expected_link_time_s"]
-    row = [eps, prob, f0, t_link]
+    [[_, _, *row]] = _span_rows(config, [config.target_span], header)
     if oracle:
-        est = photon_mode_oracle(link.p_em, eps, config.trials, config.seed)
+        est = photon_mode_oracle(config.p_em, row[0], config.trials, config.seed)
         header += ["mc_success_prob", "mc_success_se", "mc_fidelity", "mc_fidelity_se"]
         row += [est.p_hat, est.p_se, est.f0_hat, est.f0_se]
     return _render_csv(config, "link", header, [row])
@@ -101,12 +94,8 @@ def cmd_link(config: RunConfig, oracle: bool = False) -> str:
 def cmd_simulate(config: RunConfig) -> str:
     """Fidelity, fixed point and expected time at every prefix span up to
     the target; ``time_in_t0_units`` is empty for zero-time links."""
-    header = ["span_segments", "distance_km", "fidelity", "f_fp", "expected_time_s"]
-    rows = _span_rows(config, header[2:])
-    t_link = expected_link_time(config.protocol_config().link)
-    for row in rows:
-        row.append(row[-1] / t_link if t_link else None)
-    return _render_csv(config, "simulate", [*header, "time_in_t0_units"], rows)
+    columns = ["fidelity", "f_fp", "expected_time_s", "time_in_t0_units"]
+    return _span_csv(config, "simulate", columns)
 
 
 def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
@@ -114,8 +103,7 @@ def cmd_fixed_point(config: RunConfig, axes: dict | None = None) -> str:
     grid of (F_FP at target span, F_inf) per point."""
     if axes:
         return _sweep_csv(config, "fixed-point", axes, ["f_fp", "f_inf", "error"])
-    header = ["span_segments", "distance_km", "f_fp", "f_inf"]
-    return _render_csv(config, "fixed-point", header, _span_rows(config, header[2:]))
+    return _span_csv(config, "fixed-point", ["f_fp", "f_inf"])
 
 
 def cmd_sweep(config: RunConfig, axes: dict) -> str:
@@ -128,29 +116,21 @@ def cmd_sweep(config: RunConfig, axes: dict) -> str:
 
 
 def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
-    """The long-haul scenario: span rounded up to the nearest schedulable
-    size, final fidelity, expected time and the CHSH-violation verdict."""
+    """The long-haul scenario as one table row at the span rounded up to the
+    nearest schedulable size: the link's efficiency and closed-form initial
+    fidelity (which a pinned f0 does not change), the final fidelity, the
+    expected time and the CHSH-violation verdict."""
     if not 0.0 < distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
     if (ratio := distance_km / config.l0_km) == math.inf:
         raise ValueError(f"distance_km / l0_km overflows a float: {distance_km} / {config.l0_km}")
-    span = round_span_up(math.ceil(ratio))
-    pcfg = replace(config, target_span=span).protocol_config()
-    eps = channel_efficiency(pcfg.link)
-    result = run_protocol(pcfg)
-    fid = fidelity(result.final)
-    columns = {
-        "requested_distance_km": distance_km,
-        "span_segments": span,
-        "distance_km": span * config.l0_km,
-        "efficiency": eps,
-        "initial_fidelity": initial_fidelity(pcfg.link.p_em, eps),
-        "fidelity": fid,
-        "expected_time_s": result.total_expected_time,
-        "bell_violation_threshold": BELL_VIOLATION_FIDELITY,
-        "violates_bell": fid > BELL_VIOLATION_FIDELITY,
-    }
-    return _render_csv(config, "headline", list(columns), [list(columns.values())])
+    columns = ["efficiency", "initial_fidelity", "fidelity", "expected_time_s"]
+    [row] = _span_rows(config, [round_span_up(math.ceil(ratio))], columns)
+    header = ["requested_distance_km", "span_segments", "distance_km", *columns]
+    header += ["bell_violation_threshold", "violates_bell"]
+    fid = row[2 + columns.index("fidelity")]
+    row = [distance_km, *row, BELL_VIOLATION_FIDELITY, int(fid > BELL_VIOLATION_FIDELITY)]
+    return _render_csv(config, "headline", header, [row])
 
 
 #: Command-level defaults for the headline scenario: 8% emission, a

@@ -1,10 +1,13 @@
-"""The per-span tables of ``simulate`` and ``fixed-point``, which read their
-rows from the same column table as ``sweep`` and ``fixed-point --axis``.
+"""Every command's table: ``link`` and ``headline`` read one row, and
+``simulate`` and ``fixed-point`` one row per span, from the same column
+table as ``sweep`` and ``fixed-point --axis``.
 
 ``SPAN_TABLE_BYTES`` holds the exit code, the SHA-256 digest of stdout
 (None for none) and stderr of each command, recorded from separate
-``qrepeater`` processes at commit 11d0378, where each command still
-walked its spans on its own; a first failing span must keep its message.
+``qrepeater`` processes: the ``simulate`` and ``fixed-point`` entries at
+commit 11d0378, where each command still walked its spans on its own, and
+the ``headline`` and ``link`` entries at 74f73b1, where both still computed
+their numbers in the CLI; a first failing span must keep its message.
 """
 
 import csv
@@ -13,6 +16,8 @@ import io
 
 import pytest
 
+from qrepeater import cli
+from qrepeater.analysis import table
 from qrepeater.cli import main
 
 UNPURIFIABLE = "--f0 0.0 --p 1 --eta 1 --attenuation-db-per-km 0 --p-em 0.1"
@@ -44,6 +49,33 @@ SPAN_TABLE_BYTES = {
         0, "87bd909a57c39c34328c75e822df6a989bbe2c888c944dbc427515982b827e6c", ""
     ),
     f"fixed-point {UNPURIFIABLE} --target-span 1": (2, None, UNPURIFIABLE_LEVEL_0),
+    "headline --l0-km 5000": (2, None, P_ZERO),
+    "link --l0-km 5000": (2, None, P_ZERO),
+    # The link's closed forms have no resolution check; only a time reads it.
+    "headline --l0-km 1440": (2, None, BELOW_RESOLUTION),
+    "link --l0-km 1440": (
+        0, "e7886f1a6ace56ed7233216efd62867358528c53587bcc6a8e87aed483f1f08e", ""
+    ),
+    "headline --t0-s 1e200": (
+        2, None, "error: expected time overflows a float at the elementary link\n"
+    ),
+    "link --t0-s 1e200": (
+        0, "f3520f6d8b6191c30e07b3fb0fe8c96d6cb36880882b5b972c936db0e722fe0b", ""
+    ),
+    # headline pumps once (m = 1), so step 3 is never reached; link builds no level.
+    f"headline {UNPURIFIABLE}": (
+        0, "11eaa3c642b4d16f8a543c016dfcec78405bb31a8112bd5632ca449a738cc11e", ""
+    ),
+    f"link {UNPURIFIABLE}": (
+        0, "0cd8919162ebdedcae42d578d72523d9336475a89505f341a2fd53976bd839e1", ""
+    ),
+    # A pinned f0 leaves initial_fidelity at the link's closed form.
+    "headline --f0 0.99": (
+        0, "06f18e655fbe5b3a03b1b65c3fbfde59c97f006e220cb58ddc12280acaf76a02", ""
+    ),
+    "link --f0 0.99": (
+        0, "7a49173a534814198c97363a2072b123e300a7ec8dfa2f0742bd8af845033ca7", ""
+    ),
 }
 
 
@@ -103,3 +135,65 @@ def test_sweep_row_reports_the_time_error_first(capsys):
     assert [row[header.index("error")] for row in rows] == [
         "expected time overflows a float at the elementary link"
     ] * 2
+
+
+#: One command of each kind, each of which prints one table.
+TABLE_COMMANDS = [
+    "link",
+    "simulate",
+    "fixed-point",
+    "fixed-point --axis m=1,2",
+    "sweep --axis m=1,2",
+    "headline",
+]
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_every_command_reads_one_table(command, monkeypatch, capsys):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(cli, "table", spy)
+    assert run(command, capsys)[0] == 0
+    assert len(calls) == 1
+
+
+def test_cli_computes_no_physics():
+    for name in (
+        "run_protocol", "fidelity", "channel_efficiency", "entangle_success_prob",
+        "expected_link_time", "initial_fidelity",
+    ):
+        assert not hasattr(cli, name), name
+
+
+def dict_rows(text):
+    header, *rows = data_rows(text)
+    return [dict(zip(header, row)) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "distance, flags",
+    [("", ""), ("--distance-km 20000", "--p 0.995 --eta 0.995 --m 3"), ("--distance-km 20", "")],
+)
+def test_headline_is_the_last_row_of_simulate_and_the_link_row(distance, flags, capsys):
+    code, out, _ = run(f"headline {distance} {flags}", capsys)
+    assert code == 0
+    [row] = dict_rows(out)
+    # simulate and link take the headline's command defaults as flags, then
+    # the same flags, at the span headline rounded to.
+    defaults = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in cli.HEADLINE_DEFAULTS.items())
+    same = f"{defaults} {flags} --target-span {row['span_segments']}"
+    code, out, _ = run(f"simulate {same}", capsys)
+    assert code == 0
+    last = dict_rows(out)[-1]
+    assert last["span_segments"] == row["span_segments"]
+    assert (last["fidelity"], last["expected_time_s"]) == (row["fidelity"], row["expected_time_s"])
+    code, out, _ = run(f"link {same}", capsys)
+    assert code == 0
+    [link] = dict_rows(out)
+    assert (link["efficiency"], link["initial_fidelity"]) == (
+        row["efficiency"], row["initial_fidelity"]
+    )
