@@ -122,10 +122,15 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     expected time and the CHSH-violation verdict."""
     if not 0.0 < distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
-    if (ratio := distance_km / config.l0_km) == math.inf:
-        raise ValueError(f"distance_km / l0_km overflows a float: {distance_km} / {config.l0_km}")
+    try:  # ceil of an infinite ratio, or a span past the float range, raises
+        span = round_span_up(math.ceil(distance_km / config.l0_km))
+        if span * config.l0_km == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"distance_km / l0_km overflows a float once rounded up to a span:"
+                         f" {distance_km} / {config.l0_km}") from None
     columns = ["efficiency", "initial_fidelity", "fidelity", "expected_time_s"]
-    [row] = _span_rows(config, [round_span_up(math.ceil(ratio))], columns)
+    [row] = _span_rows(config, [span], columns)
     header = ["requested_distance_km", "span_segments", "distance_km", *columns]
     header += ["bell_violation_threshold", "violates_bell"]
     fid = row[2 + columns.index("fidelity")]

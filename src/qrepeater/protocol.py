@@ -12,10 +12,9 @@ and only when read; :func:`run_protocol`, the sampler and the
 fixed-point analysis all read it.
 
 Fidelity bookkeeping is deterministic (conditioned on every purification
-accepting); the builders compute states and acceptance probabilities only.
-:meth:`Ladder.time` computes a depth's time on first read, as one
-:class:`~qrepeater.timing.Duration` (the first two moments of the random
-completion time), cross-checked by a discrete-event Monte Carlo sampler.
+accepting).  The waiting-time process is written once, in
+:meth:`Ladder.fold`: :meth:`Ladder.time` folds it in timing's moments and
+:func:`monte_carlo_time` samples it, the check on those moments.
 """
 
 from __future__ import annotations
@@ -245,12 +244,12 @@ def level_step(
 
 class Ladder:
     """The nesting levels of one config, built bottom-up in order by
-    :func:`level_step` and only when a read needs them: level i reads the
-    A pairs at depths i and i-1 (depth 0 is one elementary link) and is
-    appended to ``levels`` once it is complete; only :meth:`time` computes
-    times.  Nothing is kept from a failed build: an unpurifiable pump, or
-    a time model that overflows, raises :class:`ProtocolError` on every
-    read that reaches its level."""
+    :func:`level_step` and only when a read needs them; level i reads the
+    A pairs at depths i and i-1.  :meth:`fold` writes the waiting-time
+    process once, and :meth:`time` and :func:`monte_carlo_time` fold it
+    in two algebras.  Nothing is kept from a failed build: an unpurifiable
+    pump, or a time model that overflows, raises :class:`ProtocolError`
+    on every read that reaches its level."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -262,6 +261,13 @@ class Ladder:
         _link_prob_and_unit(self.config)  # a pinned f0 still needs a link that succeeds
         return self.config.elementary_state
 
+    @functools.cached_property
+    def _moments(self) -> tuple:
+        # timing's algebra, its names read here on the first time, so a patched one counts.
+        prob, unit = _link_prob_and_unit(self.config)
+        racing = {k: max_of_geometric(k, prob, unit) for k in (1, 2, 3)}
+        return racing.__getitem__, max_all, Duration.shifted, restarting_rounds
+
     def pair(self, depth: int) -> BellDiagonalState:
         """The A pair over span 2^(depth+1) - 1; depth 0 is the elementary pair."""
         if depth < 0:
@@ -272,37 +278,41 @@ class Ladder:
             levels.append(level_step(below, two_below, config, idx))
         return levels[depth - 1].a if depth else self._elementary
 
+    def fold(self, algebra: tuple, values: list, depth: int):
+        """The waiting-time process to the A pair over span 2^(depth+1) - 1 in
+        ``algebra = (links, max, shift, restart)``: k racing links, concurrent
+        stages, a classical wait of tc, and a base build then one round plus tc
+        per entry of ``probs``, any rejection restarting it.  Appends each
+        missing depth to ``values`` (depth 0 is one link; level i's state first)."""
+        links, maximum, shift, restart = algebra
+        tc = self.config.link.classical_time_s
+        if not values:
+            values.append(links(1))
+        while (idx := len(values) - 1) < depth:  # the level that builds the next depth
+            self.pair(idx + 1)
+            level, below = self.levels[idx], values[idx]
+            if idx:  # B from two A pairs and a link; C fodder from refined helpers
+                b = shift(maximum([below, below, links(1)]), tc)
+                base = shift(maximum([values[idx - 1]] * 2) if idx > 1 else links(2), tc)
+                helper = restart(base, base, tc, (level.helper_q,))
+                fodder = maximum([helper, helper, links(3)])
+            else:  # level 0: B and C each race three links
+                b, fodder = shift(links(3), tc), links(3)
+            values.append(restart(b, shift(fodder, tc), tc, level.step_probs))
+        return values[depth]
+
     def time(self, depth: int) -> Duration:
         """Mean and variance of the time to build the A pair over span
-        2^(depth+1) - 1, computed on first read one level at a time (level i's
-        state, then its time) from the times one and two depths below, the
-        level's acceptance probabilities and the racing links' maxima; the
-        analytic twin of the sampler in :func:`monte_carlo_time`."""
+        2^(depth+1) - 1, computed once, on first read: :meth:`fold` in
+        timing's moments (``max_of_geometric``, ``max_all``,
+        ``Duration.shifted``, ``restarting_rounds``)."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth!r}")
-        times, tc = self._times, self.config.link.classical_time_s
-        while len(times) <= depth:
-            idx = len(times) - 1  # the level that builds this depth; -1 is one link
-            self.pair(idx + 1)
-            try:
-                if idx < 0:
-                    prob, unit = _link_prob_and_unit(self.config)
-                    self._links = [max_of_geometric(k, prob, unit) for k in (1, 2, 3)]
-                    times.append(self._links[0])
-                    continue
-                (one, two, three), level, below = self._links, self.levels[idx], times[idx]
-                b = (max_all([below, below, one]) if idx else three).shifted(tc)
-                fodder = three
-                if idx:
-                    half = times[idx - 1]
-                    base = (max_all([half, half]) if idx > 1 else two).shifted(tc)
-                    helper = restarting_rounds(base, base, tc, [level.helper_q])
-                    fodder = max_all([helper, helper, three])
-                times.append(restarting_rounds(b, fodder.shifted(tc), tc, level.step_probs))
-            except OverflowError as exc:
-                where = f"level {idx}" if idx >= 0 else "the elementary link"
-                raise ProtocolError(f"expected time overflows a float at {where}") from exc
-        return times[depth]
+        try:
+            return self.fold(self._moments, self._times, depth)
+        except OverflowError as exc:
+            where = f"level {len(self._times) - 1}" if self._times else "the elementary link"
+            raise ProtocolError(f"expected time overflows a float at {where}") from exc
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -351,15 +361,13 @@ def _link_max_pair(rng, rate: float, unit: float, racers: int) -> tuple[float, f
 
 
 def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDistribution:
-    """Discrete-event sampling of the protocol's completion time.
-
-    Every elementary link draws a geometric attempt count, concurrent
-    stages finish at the max of their children, each purification round
-    accepts with its analytically computed probability, and a rejection
-    restarts the level.  Level i samples its B pair from level i-1 and
-    its C helpers from level i-2, where level -1 is one elementary link.
-    Vectorised over trials with a single seeded generator (``seed`` an
-    int >= 0, ``trials`` an int >= 1), so results are reproducible.
+    """Discrete-event sampling of the protocol's completion time:
+    :meth:`Ladder.fold` in a sampler algebra, whose values draw ``count``
+    trials from one seeded generator (``seed`` an int >= 0, ``trials`` an
+    int >= 1), so results are reproducible.  Each link draws a geometric
+    attempt count, concurrent stages finish at the max of their children,
+    each purification round accepts with its computed probability, and a
+    rejection restarts the stage.
 
     Racing links come from :func:`_link_maxima`: for P < 1/3 (links have
     at most 0.197) numpy draws a count as ``ceil(E / -log1p(-P))``, E
@@ -370,126 +378,113 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     factors; at p = eta = 0.95, m = 4, span 31, 2 trials take over 60 s.
     Restarts end in tails of a few trials, where numpy's per-call cost
     dominates, so a stage asked for one trial, or a restart left with one,
-    runs on Python floats (:func:`_link_max`), and one call draws an attempt's
-    base and first round where both race links (level 0, level 1's helpers).
-    Every path takes the same variates in the same order: the same samples.
-
-    Raises :class:`ProtocolError` if a sample, the mean or the std
-    overflows a float.
+    runs on Python floats (:func:`_link_max`), and a restart whose base and
+    round race the same links (level 0, level 1's helpers) draws both in
+    one call.  Every path takes the same variates in the same order: the
+    same samples.  Raises :class:`ProtocolError` if a sample, the mean or
+    the std overflows a float.
     """
     seed, trials = check_sampler_args(seed, trials)
     global np
     if np is None:
         import numpy as np
     prob, unit = _link_prob_and_unit(config)
-    rate, tc = -math.log1p(-prob), config.link.classical_time_s
-    # 0-d arrays: numpy converts a Python float operand on every call.
-    rate_a, unit_a, tc_a = map(np.array, (rate, unit, tc))
-    ladder = Ladder(config)
-    top = config.depth
-    ladder.pair(top)
-    levels = ladder.levels
+    rate = -math.log1p(-prob)
+    rate_a, unit_a = np.array(rate), np.array(unit)  # 0-d: numpy converts a float per call
     rng = np.random.default_rng(seed)
 
-    def sample_links(count: int, racers: int):
-        if count == 1:
-            return _link_max(rng, rate, unit, racers)
-        return _link_maxima(rng, rate_a, unit_a, count, racers)
+    def links(k: int):
+        def draw(count: int):
+            if count == 1:
+                return _link_max(rng, rate, unit, k)
+            return _link_maxima(rng, rate_a, unit_a, count, k)
+        draw.racers = k
+        return draw
 
-    def opening(sample_base, sample_round, level: int, racers: int, count: int):
-        # An attempt's base build plus its first round and tc; racers: one draw, base rows first.
-        if not racers:
-            base, first = sample_base(level, count), sample_round(level, count)
-        elif count == 1:
-            base, first = map(race, _link_max_pair(rng, rate, unit, racers))
-        else:
-            both = race(sample_links(2 * count, racers))
-            base, first = both[:count], both[count:]
-        base += first + (tc if count == 1 else tc_a)
-        return base
+    def maximum(xs):
+        def draw(count: int):
+            if count == 1:
+                return max([x(1) for x in xs])
+            out, *rest = [x(count) for x in xs]
+            for other in rest:
+                np.maximum(out, other, out=out)
+            return out
+        return draw
 
-    def restart_one(sample_base, sample_round, level, racers, probs, total: float = 0.0) -> float:
-        # restarting for one trial on floats, adding attempts to total in order (0.0 + a is a).
-        while True:
-            attempt = opening(sample_base, sample_round, level, racers, 1)
-            ok = rng.random(1)[0] < probs[0]
-            for q in probs[1:]:
-                if not ok:
-                    break
-                attempt += sample_round(level, 1) + tc
-                ok = rng.random(1)[0] < q
-            if ok:
-                return total + attempt
-            total += attempt
+    def shift(x, tc: float):
+        tc_a = np.array(tc)
+        def draw(count: int):
+            if count == 1:
+                return x(1) + tc
+            out = x(count)
+            out += tc_a
+            return out
+        draw.merge = getattr(x, "racers", 0), tc  # a restart draws base and round at once
+        return draw
 
-    def restarting(sample_base, sample_round, level: int, probs, count: int, racers: int):
-        # The sampler's copy of timing.restarting_rounds: each attempt pays a
-        # base build, then one round plus tc per entry of probs; a rejection
-        # restarts it.  The first attempt is the total; later ones add to it.
+    def restart(base, round_, tc: float, probs):
+        # timing.restarting_rounds' process; a rejection restarts the attempt.
         if not probs:
-            return sample_base(level, count)
-        stage = sample_base, sample_round, level, racers
-        if count == 1:
-            return restart_one(*stage, probs)
-        total = attempt = opening(*stage, count)
-        todo = None  # the trials of total in attempt; None: all of them
-        while True:
-            ok = rng.random(attempt.size) < probs[0]  # accepted so far
-            for q in probs[1:]:
-                live = ok.nonzero()[0]
-                if not live.size:
-                    break
-                attempt[live] += sample_round(level, live.size) + tc_a
-                ok[live] = rng.random(live.size) < q
-            if todo is not None:
-                total[todo] += attempt
-            redo = (~ok).nonzero()[0]
-            if not redo.size:
-                return total
-            todo = redo if todo is None else todo[redo]
-            if todo.size == 1:
-                (i,) = todo
-                total[i] = restart_one(*stage, probs, float(total[i]))
-                return total
-            attempt = opening(*stage, todo.size)
+            return base
+        merge = getattr(base, "merge", (0, 0.0))
+        racers, wait = merge if merge == getattr(round_, "merge", None) else (0, 0.0)
+        tc_a, wait_a = np.array(tc), np.array(wait)
+        def opening(count: int):
+            # An attempt's base build, first round and tc; racers: one draw, base rows first.
+            if not racers:
+                out, first = base(count), round_(count)
+            elif count == 1:
+                out, first = _link_max_pair(rng, rate, unit, racers)
+                out, first = out + wait, first + wait
+            else:
+                out = _link_maxima(rng, rate_a, unit_a, 2 * count, racers)
+                out += wait_a
+                out, first = out[:count], out[count:]
+            out += first + (tc if count == 1 else tc_a)
+            return out
+        def restart_one(total: float = 0.0) -> float:
+            # One trial on floats, adding attempts to total in order (0.0 + a is a).
+            while True:
+                attempt = opening(1)
+                ok = rng.random(1)[0] < probs[0]
+                for q in probs[1:]:
+                    if not ok:
+                        break
+                    attempt += round_(1) + tc
+                    ok = rng.random(1)[0] < q
+                if ok:
+                    return total + attempt
+                total += attempt
+        def draw(count: int):
+            # The first attempt is the total; later ones add to it.
+            if count == 1:
+                return restart_one()
+            total = attempt = opening(count)
+            todo = None  # the trials of total in attempt; None: all of them
+            while True:
+                ok = rng.random(attempt.size) < probs[0]  # accepted so far
+                for q in probs[1:]:
+                    live = ok.nonzero()[0]
+                    if not live.size:
+                        break
+                    attempt[live] += round_(live.size) + tc_a
+                    ok[live] = rng.random(live.size) < q
+                if todo is not None:
+                    total[todo] += attempt
+                redo = (~ok).nonzero()[0]
+                if not redo.size:
+                    return total
+                todo = redo if todo is None else todo[redo]
+                if todo.size == 1:
+                    total[todo[0]] = restart_one(float(total[todo[0]]))
+                    return total
+                attempt = opening(todo.size)
+        return draw
 
-    def sample_level(level: int, count: int):
-        if level < 0:
-            return sample_links(count, 1)
-        racers = 3 if level == 0 else 0  # level 0's B and C each race 3 links
-        return restarting(sample_b, sample_c, level, levels[level].step_probs, count, racers)
-
-    def race(first, *rest):
-        # Concurrent stages finish at their max, then a swap round adds tc.
-        if type(first) is float:
-            return max((first, *rest)) + tc
-        for other in rest:
-            np.maximum(first, other, out=first)
-        first += tc_a
-        return first
-
-    def sample_swapped(level: int, count: int):
-        # Two copies of level's output swapped together.
-        if level < 0:
-            return race(sample_links(count, 2))
-        return race(sample_level(level, count), sample_level(level, count))
-
-    def sample_b(level: int, count: int):
-        if level == 0:
-            return race(sample_links(count, 3))
-        below = level - 1
-        return race(sample_level(below, count), sample_level(below, count), sample_links(count, 1))
-
-    def sample_c(level: int, count: int):
-        if level == 0:
-            return race(sample_links(count, 3))
-        probs, racers = (levels[level].helper_q,), 2 if level == 1 else 0  # level -1: 2 links
-        helper = (sample_swapped, sample_swapped, level - 2, probs, count, racers)
-        return race(restarting(*helper), restarting(*helper), sample_links(count, 3))
-
+    draw = Ladder(config).fold((links, maximum, shift, restart), [], config.depth)
     with np.errstate(over="ignore", invalid="ignore"):
         # A copy: level-0 arrays are halves of merged draws, and one trial is a float.
-        samples = np.array(sample_level(top - 1, trials), ndmin=1)
+        samples = np.array(draw(trials), ndmin=1)
         peak, mean = samples.max(), float(samples.mean())
         std = float(samples.std(ddof=1)) if trials > 1 else 0.0
         if not math.isfinite(std) and math.isfinite(peak):

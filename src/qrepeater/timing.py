@@ -5,9 +5,9 @@ on disjoint hardware run concurrently (max), and rejected purification
 rounds restart the whole construction.  Waiting times for heralded links
 are geometric; groups of identical links racing in parallel have exact
 closed-form max moments, while maxima over composite stages use Clark's
-Gaussian moment-matching approximation.  The Monte Carlo sampler in
-:mod:`qrepeater.protocol` realises the same process event by event and
-is the check on these approximations.
+Gaussian moment-matching approximation.  These are one algebra of the
+process that :meth:`qrepeater.protocol.Ladder.fold` writes once; the
+Monte Carlo sampler is the other, and the check on these approximations.
 """
 
 from __future__ import annotations

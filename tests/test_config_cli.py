@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qrepeater import protocol
 from qrepeater.analysis import apply_overrides
 from qrepeater.channel import LinkParams, initial_fidelity
 from qrepeater.cli import (
@@ -303,6 +304,31 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "distance_km / l0_km overflows a float" in err
+
+    def test_headline_rounded_span_overflow_exits_2_in_a_process(self):
+        # 1e308 / 1 is finite, but its rounded span 2^1024 - 1 times l0_km is not;
+        # with no link or classical time, no time overflows first.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        args = ["headline", "--distance-km", "1e308", "--l0-km", "1", "--t0-s", "0", "--tc-s", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrepeater.cli", *args], env=env,
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "distance_km / l0_km overflows a float" in proc.stderr
+
+    def test_headline_span_overflow_builds_no_level(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(protocol, "level_step", lambda *args: built.append(args))
+        # The span 2^1023 - 1 is a float, but times l0_km it is infinite.
+        args = ["headline", "--distance-km", "1.7e308", "--l0-km", "3", "--t0-s", "0", "--tc-s", "0"]
+        assert main(args) == 2
+        assert "distance_km / l0_km overflows a float" in capsys.readouterr().err
+        assert built == []
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -298,6 +298,102 @@ class TestLadder:
         assert steps == [(pairs[i], pairs[i - 1] if i else None, i) for i in range(cfg.depth)]
 
 
+class TestOneFold:
+    """The waiting-time process is written once, in ``Ladder.fold``; the
+    moments and the sampler are two algebras folded over it."""
+
+    CFG = make_config(f0=0.98, p=0.995, eta=0.995, m=2, span=15)
+
+    @classmethod
+    def strings(cls):
+        """A toy algebra whose values record each operation as text."""
+        tc = cls.CFG.link.classical_time_s
+
+        def shift(x, wait):
+            assert wait == tc
+            return f"{x}+tc"
+
+        def restart(base, round_, wait, probs):
+            assert wait == tc
+            return f"restart({base}; {round_}; {len(probs)} rounds)"
+
+        return (lambda k: f"L{k}", lambda xs: f"max({', '.join(xs)})", shift, restart)
+
+    def test_structure_of_depths_0_to_3(self):
+        ladder, values = Ladder(self.CFG), []
+        depth_0 = "L1"
+        # Level 0: B and C fodder each race three links; B and the round are
+        # both a shift of three racing links, which the sampler draws in one call.
+        depth_1 = "restart(L3+tc; L3+tc; 2 rounds)"
+        # Level 1: the helpers restart on two racing links, shifted, as base and round.
+        helper_1 = "restart(L2+tc; L2+tc; 1 rounds)"
+        depth_2 = (
+            f"restart(max({depth_1}, {depth_1}, L1)+tc;"
+            f" max({helper_1}, {helper_1}, L3)+tc; 2 rounds)"
+        )
+        # Level 2: the helpers swap two depth-1 pairs.
+        half_2 = f"max({depth_1}, {depth_1})+tc"
+        helper_2 = f"restart({half_2}; {half_2}; 1 rounds)"
+        depth_3 = (
+            f"restart(max({depth_2}, {depth_2}, L1)+tc;"
+            f" max({helper_2}, {helper_2}, L3)+tc; 2 rounds)"
+        )
+        assert ladder.fold(self.strings(), values, 2) == depth_2
+        assert values == [depth_0, depth_1, depth_2]
+        assert len(ladder.levels) == 2
+        assert ladder.fold(self.strings(), values, 3) == depth_3
+        assert ladder.fold(self.strings(), values, 1) == depth_1
+        assert values == [depth_0, depth_1, depth_2, depth_3]
+
+    def test_restarts_read_the_levels_probabilities(self):
+        seen = []
+        links, maximum, shift, _ = self.strings()
+
+        def restart(base, round_, wait, probs):
+            seen.append(tuple(probs))
+            return "r"
+
+        ladder = Ladder(self.CFG)
+        ladder.fold((links, maximum, shift, restart), [], 3)
+        l0, l1, l2 = ladder.levels
+        expected = [l0.step_probs, (l1.helper_q,), l1.step_probs, (l2.helper_q,), l2.step_probs]
+        assert seen == expected
+
+    def test_time_and_sampler_each_fold_once(self, monkeypatch):
+        calls = []
+        real = Ladder.fold
+
+        def spy(ladder, algebra, values, depth):
+            calls.append(depth)
+            return real(ladder, algebra, values, depth)
+
+        monkeypatch.setattr(Ladder, "fold", spy)
+        ladder = Ladder(self.CFG)
+        assert ladder.time(3) == ladder.time(3)
+        assert calls == [3, 3]
+        calls.clear()
+        monte_carlo_time(self.CFG, seed=1, trials=20)
+        assert calls == [3]
+
+    def test_sampler_draws_only_what_the_fold_returns(self, monkeypatch):
+        monkeypatch.setattr(Ladder, "fold", lambda *args: lambda count: np.full(count, 7.0))
+        dist = monte_carlo_time(self.CFG, seed=1, trials=5)
+        assert dist.samples.tolist() == [7.0] * 5 and dist.std == 0.0
+
+    def test_moments_read_patched_names_when_a_ladder_first_times(self, monkeypatch):
+        restarts = []
+        real = protocol.restarting_rounds
+
+        def counted(*args):
+            restarts.append(args)
+            return real(*args)
+
+        ladder = Ladder(self.CFG)
+        monkeypatch.setattr(protocol, "restarting_rounds", counted)
+        ladder.time(2)
+        assert len(restarts) == 3
+
+
 class TestExpectedTimePolynomialGrowth:
     def test_level_ratio_bounded(self):
         times = []
