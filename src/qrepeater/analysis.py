@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .bell import fidelity, normalise, weights_of
+from .bell import fidelity, normalise
 from .channel import (
     LinkParams,
     channel_efficiency,
@@ -49,8 +48,7 @@ ASYMPTOTE_MAX_LEVELS = 40
 USEFUL_FIDELITY_FLOOR = 0.5
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     value: float
     iterations: int
     converged: bool
@@ -59,7 +57,7 @@ class FixedPointResult:
 def _pumped_fixed_point(level: Level, noise: NoiseParams) -> FixedPointResult:
     """Pump the level's stored B pair with its C fodder until two
     successive rounds each move the fidelity by at most FIXED_POINT_TOL."""
-    weights, fodder = weights_of(level.b), weights_of(level.c)
+    weights, fodder = level.b, level.c
     value = weights[0]
     small_steps = 0
     for iteration in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -169,19 +167,15 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
         value = overrides.pop("p_eta")
         overrides.setdefault("p", value)
         overrides.setdefault("eta", value)
-    link_kw = {
-        f.name: overrides.pop(f.name) for f in fields(LinkParams) if f.name in overrides
-    }
-    noise_kw = {
-        f.name: overrides.pop(f.name) for f in fields(NoiseParams) if f.name in overrides
-    }
+    link_kw = {name: overrides.pop(name) for name in LinkParams._fields if name in overrides}
+    noise_kw = {name: overrides.pop(name) for name in NoiseParams._fields if name in overrides}
     target = overrides.pop("target_span", config.target_span)
     m = overrides.pop("m", config.m)
     f0 = overrides.pop("f0", config.f0)
     if overrides:
         raise ValueError(f"unknown config fields: {sorted(overrides)}")
-    link = replace(config.link, **link_kw)
-    noise = replace(config.noise, **noise_kw)
+    link = config.link._replace(**link_kw)
+    noise = config.noise._replace(**noise_kw)
     if not isinstance(m, int):
         m = tuple(pumping_depth(m, i) for i in range(nesting_depth(target)))
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)

@@ -11,9 +11,7 @@ to build an array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,34 +20,50 @@ ATOL = 1e-12          # tolerance for algebraic identities (normalisation, hermi
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class BellDiagonalState:
-    """Probability weights of a two-qubit state over the four Bell states.
+class Checked:
+    """First base of a NamedTuple's subclass whose ``__new__`` checks the
+    fields, so that ``_replace`` (as pickle and copy do) builds through it."""
 
-    Weights must be finite, in [0, 1] and sum to 1 within ``ATOL``.  The first
-    weight is the singlet fidelity.
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class _BellWeights(NamedTuple):
     w_psi_minus: float
     w_psi_plus: float
     w_phi_plus: float
     w_phi_minus: float
 
-    def __post_init__(self):
-        w = (self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus)
-        if min(w) < -ATOL or max(w) > 1.0 + ATOL:
+
+class BellDiagonalState(Checked, _BellWeights):
+    """Probability weights of a two-qubit state over the four Bell states,
+    as an immutable tuple in basis order: a state is its weights.
+
+    Weights must be finite, in [0, 1] and sum to 1 within ``ATOL``.  The first
+    weight is the singlet fidelity.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, w_psi_minus, w_psi_plus, w_phi_plus, w_phi_minus):
+        self = super().__new__(cls, w_psi_minus, w_psi_plus, w_phi_plus, w_phi_minus)
+        if min(self) < -ATOL or max(self) > 1.0 + ATOL:
             raise ValueError(f"Bell weights must lie in [0, 1], got {self.weights.tolist()}")
-        total = 0.0 + w[0] + w[1] + w[2] + w[3]  # numpy's order
+        total = 0.0 + self[0] + self[1] + self[2] + self[3]  # numpy's order
         if not math.isfinite(total):  # a NaN weight passes the range check
             raise ValueError(f"Bell weights must be finite, got {self.weights.tolist()}")
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"Bell weights must sum to 1 within {ATOL}, got {float(total)!r}")
+        return self
 
     @property
     def weights(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([self.w_psi_minus, self.w_psi_plus, self.w_phi_plus, self.w_phi_minus])
+        return np.array(self)
 
     @classmethod
     def from_weights(cls, w) -> "BellDiagonalState":
@@ -65,10 +79,6 @@ class BellDiagonalState:
                 raise ValueError(f"expected 4 Bell weights, got shape {w.shape}")
             w = w.tolist()
         return cls(*normalise(w))
-
-
-#: A state's four weights as a tuple, in basis order.
-weights_of = attrgetter("w_psi_minus", "w_psi_plus", "w_phi_plus", "w_phi_minus")
 
 
 def normalise(w) -> tuple[float, float, float, float]:

@@ -11,9 +11,9 @@ independent check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .bell import BellDiagonalState, from_fidelity
+from .bell import BellDiagonalState, Checked, from_fidelity
 
 #: Signal velocity in fiber used for the default classical-heralding time.
 FIBER_SIGNAL_SPEED_M_PER_S = 2.0e8
@@ -22,8 +22,16 @@ FIBER_SIGNAL_SPEED_M_PER_S = 2.0e8
 NEVER_SUCCEEDS = "elementary link never succeeds (P = 0)"
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class _Link(NamedTuple):
+    l0_km: float
+    attenuation_db_per_km: float
+    p_em: float
+    eps_local: float
+    t0_s: float
+    tc_s: float | None
+
+
+class LinkParams(Checked, _Link):
     """Physical description of one fiber segment between adjacent nodes.
 
     ``tc_s`` is the classical heralding time per attempt, as given; None
@@ -32,18 +40,14 @@ class LinkParams:
     l0_km / (2e8 m/s), so a copy with another ``l0_km`` derives its own.
     """
 
-    l0_km: float = 20.0
-    attenuation_db_per_km: float = 0.2
-    p_em: float = 0.05
-    eps_local: float = 1.0
-    t0_s: float = 1e-6
-    tc_s: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, l0_km=20.0, attenuation_db_per_km=0.2, p_em=0.05, eps_local=1.0,
+                t0_s=1e-6, tc_s=None):
+        self = super().__new__(cls, l0_km, attenuation_db_per_km, p_em, eps_local, t0_s, tc_s)
+        for name, value in zip(self._fields, self):
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.l0_km > 0:
             raise ValueError(f"l0_km must be > 0, got {self.l0_km!r}")
         if self.attenuation_db_per_km < 0:
@@ -58,6 +62,7 @@ class LinkParams:
             raise ValueError(f"t0_s must be >= 0, got {self.t0_s!r}")
         if self.tc_s is not None and self.tc_s < 0:
             raise ValueError(f"tc_s must be >= 0, got {self.tc_s!r}")
+        return self
 
     @property
     def classical_time_s(self) -> float:
@@ -121,8 +126,7 @@ def link_state(p_em: float, eps: float, upsilon: float) -> BellDiagonalState:
     return from_fidelity(initial_fidelity(p_em, eps), upsilon)
 
 
-@dataclass(frozen=True)
-class PhotonOracleResult:
+class PhotonOracleResult(NamedTuple):
     """Monte Carlo estimates of the link closed forms."""
 
     p_hat: float

@@ -122,6 +122,8 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     expected time and the CHSH-violation verdict."""
     if not 0.0 < distance_km < math.inf:
         raise ValueError(f"distance_km must be finite and > 0, got {distance_km!r}")
+    if distance_km / config.l0_km == 0.0:
+        raise ValueError(f"distance_km / l0_km underflows to 0: {distance_km} / {config.l0_km}")
     try:  # ceil of an infinite ratio, or a span past the float range, raises
         span = round_span_up(math.ceil(distance_km / config.l0_km))
         if span * config.l0_km == math.inf:

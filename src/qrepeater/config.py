@@ -7,9 +7,8 @@ Config files are flat ``key = value`` text.  Section headers like
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .channel import LinkParams, check_sampler_args
 from .ops import NoiseParams
@@ -19,8 +18,7 @@ DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved parameters for one CLI invocation.
 
     Physical defaults follow the replication setup: 20 km segments,
@@ -44,14 +42,9 @@ class RunConfig:
     trials: int = DEFAULT_TRIALS
 
     def protocol_config(self) -> ProtocolConfig:
-        link, noise = (
-            cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
-            for cls in (LinkParams, NoiseParams)
-        )
+        values = self._asdict()
+        link, noise = (cls(*map(values.get, cls._fields)) for cls in (LinkParams, NoiseParams))
         return ProtocolConfig(link, noise, self.m, self.target_span, f0=self.f0)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _HINTS = get_type_hints(RunConfig)
@@ -108,7 +101,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         values.update({k: v for k, v in overrides.items() if v is not None})
-    config = replace(RunConfig(), **values)
+    config = RunConfig(**values)
     config.protocol_config()  # runs the link, noise and protocol checks
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials!r}")
@@ -119,5 +112,5 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 def format_resolved(config: RunConfig) -> str:
     """Stable one-line-per-key rendering used by --print-config and the
     CSV header comments."""
-    values = config.as_dict()
+    values = config._asdict()
     return "\n".join(f"{key} = {values[key]!r}" for key in sorted(values))

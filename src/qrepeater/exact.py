@@ -10,11 +10,11 @@ factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bell import ATOL, BellDiagonalState
+from .bell import ATOL, BellDiagonalState, Checked
 from .ops import MIN_SUCCESS_PROB, NoiseParams, PurifyOutcome
 
 PSD_FLOOR = -1e-10    # eigenvalue floor for positive-semidefiniteness checks
@@ -34,8 +34,11 @@ BELL_VECTORS = np.array(
 ) / _SQRT2
 BELL_VECTORS.setflags(write=False)
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class _Matrix(NamedTuple):
+    matrix: np.ndarray
+
+
+class DensityMatrix(Checked, _Matrix):
     """Exact complex density matrix on one, two or four qubits.
 
     Used as the brute-force representation behind the oracle paths.  The
@@ -43,10 +46,10 @@ class DensityMatrix:
     the module tolerances.
     """
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __new__(cls, matrix):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] not in (2, 4, 16):
@@ -58,7 +61,7 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(m)) < PSD_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue beyond the floor")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
 
 def to_density(state: BellDiagonalState) -> DensityMatrix:

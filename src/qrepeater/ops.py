@@ -10,39 +10,41 @@ Index convention throughout: 0=Psi-, 1=Psi+, 2=Phi+, 3=Phi-.  Each Bell
 state carries an (amplitude, phase) bit pair -- Psi-=(1,1), Psi+=(1,0),
 Phi+=(0,0), Phi-=(0,1) -- and local Pauli errors act by XOR on these
 bits, which is what :func:`_xor_convolve` and :func:`swap_weights` spell out.
-The round kernels :func:`purify_weights` and :func:`swap_weights` work on
-plain float 4-tuples; a state is built only for a pair that is returned.
+The round kernels :func:`purify_weights` and :func:`swap_weights` take four
+float weights, a state's or not; a state is built only for a returned pair.
 Their per-noise constants are computed once per :class:`NoiseParams`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bell import BellDiagonalState, normalise, weights_of
+from .bell import BellDiagonalState, Checked, normalise
 
 #: Threshold below which a purification acceptance probability is treated
 #: as zero and the outcome reported unpurifiable instead of renormalised.
 MIN_SUCCESS_PROB = 1e-15
 
-@dataclass(frozen=True)
-class NoiseParams:
+class _Noise(NamedTuple):
+    p: float
+    eta: float
+    upsilon: float
+
+
+class NoiseParams(Checked, _Noise):
     """Reliability of local two-qubit gates (p) and measurements (eta),
     plus the error-mixing fraction upsilon used when preparing initial
-    states."""
+    states; its per-round constants are cached outside the tuple."""
 
-    p: float = 1.0
-    eta: float = 1.0
-    upsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
-        if not 0.0 <= self.upsilon <= 0.5:
-            raise ValueError(f"upsilon must lie in [0, 0.5], got {self.upsilon!r}")
+    def __new__(cls, p=1.0, eta=1.0, upsilon=0.0):
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"p must lie in (0, 1], got {p!r}")
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+        if not 0.0 <= upsilon <= 0.5:
+            raise ValueError(f"upsilon must lie in [0, 0.5], got {upsilon!r}")
+        return super().__new__(cls, p, eta, upsilon)
 
     @functools.cached_property
     def purify_coefficients(self) -> tuple[float, float, float, float]:
@@ -58,8 +60,7 @@ class NoiseParams:
         return (flip * flip, flip * eta, eta * eta, eta * flip), (1.0 - self.p) / 4.0
 
 
-@dataclass(frozen=True)
-class PurifyOutcome:
+class PurifyOutcome(NamedTuple):
     """Surviving pair of a purification round, conditioned on acceptance.
 
     ``state`` is None when the acceptance probability is below
@@ -102,12 +103,12 @@ def purify(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Pu
     Returns the conditioned surviving state and the total acceptance
     probability over both accepting outcome patterns.
     """
-    w, success = purify_weights(weights_of(a), weights_of(b), noise)
+    w, success = purify_weights(a, b, noise)
     return PurifyOutcome(None if w is None else BellDiagonalState.from_weights(w), success)
 
 
 def purify_weights(a, b, noise: NoiseParams) -> tuple[list | None, float]:
-    """:func:`purify` on weight 4-tuples: the kept pair's weights before
+    """:func:`purify` on four weights each: the kept pair's weights before
     renormalisation (None when unpurifiable) and the acceptance probability."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
@@ -134,11 +135,11 @@ def swap(a: BellDiagonalState, b: BellDiagonalState, noise: NoiseParams) -> Bell
     deterministic.  Independent flips of the two outcome bits appear as
     an extra X / Z error convolved onto the result.
     """
-    return BellDiagonalState.from_weights(swap_weights(weights_of(a), weights_of(b), noise))
+    return BellDiagonalState.from_weights(swap_weights(a, b, noise))
 
 
 def swap_weights(a, b, noise: NoiseParams) -> list:
-    """:func:`swap` on weight 4-tuples: the weights before renormalisation."""
+    """:func:`swap` on four weights each: the weights before renormalisation."""
     measure, floor = noise.swap_constants
     p = noise.p
     i0, i1, i2, i3 = _xor_convolve(_xor_convolve(a, b), measure)
@@ -156,7 +157,7 @@ def connect_chain(pairs, noise: NoiseParams) -> BellDiagonalState:
         if not pairs:
             raise ValueError("connect_chain requires at least one pair")
         return pairs[0]
-    w = weights_of(pairs[0])
+    w = pairs[0]
     for pair in pairs[1:-1]:
-        w = normalise(swap_weights(w, weights_of(pair), noise))
-    return BellDiagonalState.from_weights(swap_weights(w, weights_of(pairs[-1]), noise))
+        w = normalise(swap_weights(w, pair, noise))
+    return BellDiagonalState.from_weights(swap_weights(w, pairs[-1], noise))

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .bell import BellDiagonalState, from_fidelity, normalise, weights_of
+from .bell import BellDiagonalState, Checked, from_fidelity, normalise
 from .channel import (
     NEVER_SUCCEEDS,
     LinkParams,
@@ -75,39 +75,43 @@ def pumping_depth(m: int | tuple[int, ...], level: int) -> int:
     return m[min(level, len(m) - 1)]
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class _Protocol(NamedTuple):
+    link: LinkParams
+    noise: NoiseParams
+    m: int | tuple[int, ...]
+    target_span: int
+    f0: float | None
+
+
+class ProtocolConfig(Checked, _Protocol):
     """Everything a protocol run needs: the physical link, the local
-    noise, the pumping depth m (one int, or one per nesting level) and
-    the target span.  The nesting depth k (target span 2^k - 1) is
-    derived from ``target_span`` and cannot be passed.
+    noise, the pumping depth m (one int, or a tuple of one per nesting
+    level) and the target span.  The nesting depth k (target span
+    2^(k+1) - 1) is :attr:`depth`, derived, and cannot be passed.
 
     ``f0`` optionally pins the elementary-pair fidelity directly instead
     of deriving it from the link parameters; the time model always uses
     the link parameters.
     """
 
-    link: LinkParams
-    noise: NoiseParams
-    m: int | tuple[int, ...] = 3
-    target_span: int = 15
-    depth: int = field(init=False)
-    f0: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "depth", nesting_depth(self.target_span))
-        if isinstance(self.m, int):
-            if self.m < 0:
-                raise ValueError(f"m must be >= 0, got {self.m!r}")
+    def __new__(cls, link, noise, m=3, target_span=15, f0=None):
+        depth = nesting_depth(target_span)
+        if isinstance(m, int):
+            if m < 0:
+                raise ValueError(f"m must be >= 0, got {m!r}")
         else:
-            ms = tuple(self.m)
-            object.__setattr__(self, "m", ms)
-            if len(ms) != self.depth:
-                raise ValueError(f"per-level m needs {self.depth} entries, got {len(ms)}")
-            if any(mi < 0 for mi in ms):
-                raise ValueError(f"per-level m entries must be >= 0, got {ms!r}")
-        if self.f0 is not None and not 0.0 <= self.f0 <= 1.0:
-            raise ValueError(f"f0 must lie in [0, 1], got {self.f0!r}")
+            m = tuple(m)
+            if len(m) != depth:
+                raise ValueError(f"per-level m needs {depth} entries, got {len(m)}")
+            if any(mi < 0 for mi in m):
+                raise ValueError(f"per-level m entries must be >= 0, got {m!r}")
+        if f0 is not None and not 0.0 <= f0 <= 1.0:
+            raise ValueError(f"f0 must lie in [0, 1], got {f0!r}")
+        return super().__new__(cls, link, noise, m, target_span, f0)
+
+    @property
+    def depth(self) -> int:
+        return nesting_depth(self.target_span)
 
     @functools.cached_property
     def elementary_state(self) -> BellDiagonalState:
@@ -117,8 +121,7 @@ class ProtocolConfig:
         return link_state(self.link.p_em, channel_efficiency(self.link), self.noise.upsilon)
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     """Final pair and the total expected time."""
 
     final: BellDiagonalState
@@ -198,10 +201,10 @@ def pump(
     Returns the A pair and the acceptance probability of each step."""
     if m == 0:
         return b, ()
-    weights, fodder = weights_of(b), weights_of(c)
+    weights = b
     probs: list[float] = []
     for step in range(m):
-        raw, success = purify_weights(weights, fodder, config.noise)
+        raw, success = purify_weights(weights, c, config.noise)
         if raw is None:
             where = f" at level {level}" if level is not None else ""
             raise ProtocolError(
@@ -213,8 +216,7 @@ def pump(
     return BellDiagonalState(*weights), tuple(probs)
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One nesting level, built once and read by the analytic result, the
     fixed-point analysis and the sampler: the stored B pair, its C
     fodder, the acceptance probability of each of the m pump steps, the
@@ -323,8 +325,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     return ProtocolResult(ladder.pair(config.depth), total)
 
 
-@dataclass(frozen=True)
-class TimeDistribution:
+class TimeDistribution(NamedTuple):
     """Empirical distribution of protocol completion times."""
 
     mean: float

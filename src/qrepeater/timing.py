@@ -14,19 +14,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .bell import Checked
 
 
-@dataclass(frozen=True)
-class Duration:
+class _Moments(NamedTuple):
+    mean: float
+    var: float
+
+
+class Duration(Checked, _Moments):
     """First two moments of a nonnegative completion time."""
 
-    mean: float
-    var: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mean < 0 or self.var < 0:
-            raise ValueError(f"invalid duration moments ({self.mean}, {self.var})")
+    def __new__(cls, mean, var=0.0):
+        if mean < 0 or var < 0:
+            raise ValueError(f"invalid duration moments ({mean}, {var})")
+        return super().__new__(cls, mean, var)
 
     def shifted(self, offset: float) -> "Duration":
         return Duration(self.mean + offset, self.var)

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ from qrepeater.cli import (
     cmd_sweep,
     main,
 )
-from qrepeater.config import RunConfig, load_config, parse_config_file
+from qrepeater.config import FIELD_TYPES, NULLABLE, RunConfig, load_config, parse_config_file
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,7 +91,7 @@ class TestLoadConfig:
             load_config(None, {"coherence_time": 1.0})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", [f.name for f in fields(LinkParams)])
+    @pytest.mark.parametrize("name", LinkParams._fields)
     def test_non_finite_link_value_names_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             load_config(None, {name: value})
@@ -305,6 +304,13 @@ class TestMainEntry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "distance_km / l0_km overflows a float" in err
 
+    def test_headline_span_underflow_names_distance_and_l0(self, capsys):
+        # 1e-320 / 1e10 rounds to 0, from which no span can be rounded up.
+        assert main(["headline", "--distance-km", "1e-320", "--l0-km", "1e10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "distance_km / l0_km underflows to 0: 1e-320 / 10000000000.0" in err
+
     def test_headline_rounded_span_overflow_exits_2_in_a_process(self):
         # 1e308 / 1 is finite, but its rounded span 2^1024 - 1 times l0_km is not;
         # with no link or classical time, no time overflows first.
@@ -438,8 +444,17 @@ class TestParameterRegistry:
     """Every RunConfig field is a config key, a flag and (except seed and
     trials) a sweep axis, with no list to keep in step by hand."""
 
+    def test_registry_reads_the_annotations(self):
+        assert list(FIELD_TYPES.items()) == [
+            ("l0_km", float), ("attenuation_db_per_km", float), ("p_em", float),
+            ("eps_local", float), ("t0_s", float), ("tc_s", float), ("p", float),
+            ("eta", float), ("upsilon", float), ("m", int), ("target_span", int),
+            ("f0", float), ("seed", int), ("trials", int),
+        ]
+        assert NULLABLE == {"tc_s", "f0"}
+
     def test_every_field_is_a_key_a_flag_and_an_axis(self, tmp_path, capsys):
-        names = [f.name for f in fields(RunConfig)]
+        names = RunConfig._fields
         assert sorted(names) == sorted(SAMPLE_VALUES)
         base = RunConfig().protocol_config()
         for name in names:

@@ -12,7 +12,6 @@ and the link maxima's overflow turned into a protocol error.
 """
 
 import contextlib
-import dataclasses
 import io
 import math
 from collections import Counter
@@ -25,7 +24,7 @@ from test_noisy_ops import EDGE_STATES, bell_states, edge_states, reliabilities
 
 from qrepeater import analysis, cli
 from qrepeater.analysis import apply_overrides, asymptotic_fidelity, sweep
-from qrepeater.bell import ATOL, normalise, weights_of
+from qrepeater.bell import ATOL, normalise
 from qrepeater.channel import LinkParams
 from qrepeater.ops import (
     MIN_SUCCESS_PROB,
@@ -141,11 +140,12 @@ weights = st.one_of(
 weight_tuples = st.tuples(weights, weights, weights, weights)
 kernel_weights = st.one_of(
     bell_states(), edge_states(), st.sampled_from(EDGE_STATES)
-).map(weights_of)
+).map(tuple)
 noises = st.builds(
     NoiseParams,
     st.one_of(reliabilities, st.sampled_from([1.0, 1e-3, 0.5])),
     st.one_of(reliabilities, st.sampled_from([1.0, 1e-3, 0.5])),
+    st.just(0.0),  # builds() fills every NamedTuple field, defaults too
 )
 
 
@@ -208,7 +208,7 @@ class TestKernelsMatchInlineConstants:
 
 
 def snapshot(obj):
-    return obj, hash(obj), repr(obj), dataclasses.fields(obj), dataclasses.astuple(obj)
+    return obj, hash(obj), repr(obj), obj._fields, tuple(obj)
 
 
 class TestCachesAreNotFields:
@@ -219,7 +219,7 @@ class TestCachesAreNotFields:
         after = snapshot(noise)
         assert after == before and after[0] == NoiseParams(0.97, 0.98, 0.1)
         assert hash(noise) == hash(NoiseParams(0.97, 0.98, 0.1))
-        assert [f.name for f in dataclasses.fields(noise)] == ["p", "eta", "upsilon"]
+        assert noise._fields == ("p", "eta", "upsilon")
 
     @pytest.mark.parametrize("f0", [None, 0.97])
     def test_protocol_config(self, f0):
@@ -229,8 +229,7 @@ class TestCachesAreNotFields:
         Ladder(cfg).time(cfg.depth)
         assert snapshot(cfg) == before
         assert cfg == make_config(f0=f0) and hash(cfg) == hash(make_config(f0=f0))
-        names = [f.name for f in dataclasses.fields(cfg)]
-        assert names == ["link", "noise", "m", "target_span", "depth", "f0"]
+        assert cfg._fields == ("link", "noise", "m", "target_span", "f0")
 
     @pytest.mark.parametrize("command", ["simulate", "headline"])
     def test_print_config(self, command):
@@ -247,7 +246,7 @@ class TestCachesAreNotFields:
         noise = NoiseParams(0.97, 0.97)
         a, b = (0.9, 0.05, 0.03, 0.02), (0.85, 0.1, 0.03, 0.02)
         before = purify_weights(a, b, noise)
-        changed = dataclasses.replace(noise, p=0.9)
+        changed = noise._replace(p=0.9)
         assert changed.purify_coefficients[0] == 0.9**2
         fresh = NoiseParams(0.9, 0.97)
         assert purify_weights(a, b, changed) == reference_purify_weights(a, b, fresh)
@@ -258,8 +257,8 @@ class TestCachesAreNotFields:
     def test_replaced_config_has_its_own_elementary_state(self):
         cfg = make_config(f0=0.97)
         assert cfg.elementary_state.w_psi_minus == 0.97
-        assert dataclasses.replace(cfg, f0=0.9).elementary_state.w_psi_minus == 0.9
-        derived = dataclasses.replace(cfg, f0=None).elementary_state
+        assert cfg._replace(f0=0.9).elementary_state.w_psi_minus == 0.9
+        derived = cfg._replace(f0=None).elementary_state
         assert derived == make_config().elementary_state != cfg.elementary_state
 
     def test_readme_sweep_finds_each_asymptote_once(self, monkeypatch):

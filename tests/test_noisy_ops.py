@@ -443,7 +443,7 @@ def kernel_outcome(kernel, *args):
         out = kernel(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    if isinstance(out, tuple):  # the reference purify
+    if type(out) is tuple:  # the reference purify; a state is a tuple subclass
         return bits(out[0]), out[1]
     if hasattr(out, "success_prob"):
         return bits(out.state), out.success_prob

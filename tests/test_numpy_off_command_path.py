@@ -1,8 +1,11 @@
 """numpy stays off the command path: the commands compute on plain floats,
 and only the photon-mode oracle, the Monte Carlo sampler and
-:mod:`qrepeater.exact` load numpy.  Each case runs in a fresh interpreter,
-because once numpy is imported it stays in ``sys.modules``."""
+:mod:`qrepeater.exact` load numpy.  Nor does any command, or importing the
+package and building the CLI parser, load ``dataclasses`` or ``inspect``:
+the records are named tuples.  Each case runs in a fresh interpreter,
+because once a module is imported it stays in ``sys.modules``."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -17,7 +20,7 @@ from qrepeater.protocol import monte_carlo_time
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Runs ``cli.main`` on its arguments with output captured, then prints the
-#: exit code and whether numpy was ever imported.
+#: exit code and whether numpy, dataclasses and inspect were ever imported.
 RUN_MAIN = """
 import contextlib, io, sys
 from qrepeater import cli
@@ -26,7 +29,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
@@ -41,6 +44,12 @@ def fresh_python(code, *args):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@functools.cache
+def run_main(*argv):
+    """RUN_MAIN's printed words for ``argv``, one fresh interpreter per argv."""
+    return tuple(fresh_python(RUN_MAIN, *argv).split())
 
 
 #: (argv, exit code) of commands that must run without numpy.
@@ -60,7 +69,24 @@ COMMANDS = [
 
 @pytest.mark.parametrize("argv, code", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_command_never_imports_numpy(argv, code):
-    assert fresh_python(RUN_MAIN, *argv).split() == [str(code), "False"]
+    assert run_main(*argv)[:2] == (str(code), "False")
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+def test_command_never_imports_dataclasses_or_inspect(argv, code):
+    assert run_main(*argv)[2:] == ("False", "False")
+
+
+def test_import_and_parser_never_import_dataclasses_or_inspect():
+    # The benchmark's set-up window: import the package, build the parser.
+    child = fresh_python(
+        "import sys\n"
+        "import qrepeater\n"
+        "from qrepeater.cli import build_parser\n"
+        "build_parser()\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    assert child.split() == ["False", "False"]
 
 
 def test_link_oracle_is_a_first_numpy_user(capsys):

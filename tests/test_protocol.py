@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrepeater import protocol
-from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity, weights_of
+from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity
 from qrepeater.channel import (
     LinkParams,
     channel_efficiency,
@@ -267,7 +267,7 @@ class TestLadder:
 
     @staticmethod
     def level_bits(level):
-        weights = [w.hex() for pair in (level.b, level.c, level.a) for w in weights_of(pair)]
+        weights = [w.hex() for pair in (level.b, level.c, level.a) for w in pair]
         helper_q = None if level.helper_q is None else level.helper_q.hex()
         return weights, [q.hex() for q in level.step_probs], helper_q
 
