@@ -174,8 +174,9 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     f0 = overrides.pop("f0", config.f0)
     if overrides:
         raise ValueError(f"unknown config fields: {sorted(overrides)}")
-    link = config.link._replace(**link_kw)
-    noise = config.noise._replace(**noise_kw)
+    # A record no override touches is kept, with the values it has cached.
+    link = config.link._replace(**link_kw) if link_kw else config.link
+    noise = config.noise._replace(**noise_kw) if noise_kw else config.noise
     if not isinstance(m, int):
         m = tuple(pumping_depth(m, i) for i in range(nesting_depth(target)))
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)

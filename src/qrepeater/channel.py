@@ -11,6 +11,7 @@ independent check of the closed forms.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .bell import BellDiagonalState, Checked, from_fidelity
@@ -179,9 +180,12 @@ def photon_mode_oracle(
 
 def check_sampler_args(seed: int, trials: int) -> tuple[int, int]:
     """Both samplers' check, run before numpy loads: non-bool integral seed >= 0, trials >= 1."""
-    import numbers  # here, not at module load: commands that never sample skip it
     for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        try:  # operator.index takes numpy integers and refuses floats and numpy bools
+            ok = not isinstance(value, bool) and operator.index(value) >= low
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
     return int(seed), int(trials)
 

@@ -1,14 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``link`` (closed-form link report, optionally with the
-photon-mode Monte Carlo check), ``simulate`` (fidelity and time versus
-distance), ``fixed-point`` (pumping fixed points and the distance
-asymptote), ``sweep`` (grids over any parameter) and ``headline`` (the
-1000 km scenario).  Each computes its numbers in one
-:func:`~qrepeater.analysis.table` call (only ``link --oracle`` samples
-on its own) and emits CSV with the fully resolved configuration embedded
-as ``#`` header comments, so outputs are reproducible byte for byte from
-the file alone.
+Each subcommand is one entry of :data:`COMMANDS`, which the parser, the
+command defaults and :func:`main` read.  Each computes its numbers in one
+:func:`~qrepeater.analysis.table` call (only ``link --oracle`` samples on
+its own) and emits CSV with the fully resolved configuration embedded as
+``#`` header comments, so outputs are reproducible byte for byte from the
+file alone.
 """
 
 from __future__ import annotations
@@ -35,14 +32,6 @@ _PHYSICAL_TYPES = {k: t for k, t in FIELD_TYPES.items() if k not in ("seed", "tr
 _AXIS_TYPES = {**_PHYSICAL_TYPES, "p_eta": float}
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def _render_csv(config: RunConfig, command: str, header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     buf.write(f"# qrepeater {command}\n")
@@ -50,8 +39,8 @@ def _render_csv(config: RunConfig, command: str, header: list[str], rows: list[l
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    # csv writes None as an empty field and every other value as its str.
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -140,11 +129,6 @@ def cmd_headline(config: RunConfig, distance_km: float = 1000.0) -> str:
     return _render_csv(config, "headline", header, [row])
 
 
-#: Command-level defaults for the headline scenario: 8% emission, a
-#: single pumping step, and a declared efficiency of about 0.32.
-HEADLINE_DEFAULTS = {"p_em": 0.08, "m": 1, "eps_local": 0.5}
-
-
 def _parse_axes(specs: list[str] | None) -> dict:
     axes: dict = {}
     for spec in specs or []:
@@ -166,37 +150,58 @@ def _parse_axes(specs: list[str] | None) -> dict:
     return axes
 
 
-def _flag_parser(*args, **kwargs) -> argparse.ArgumentParser:
-    """A help-less parser with one flag, for a subparser's ``parents``."""
+def _flag_parser(flags: dict) -> argparse.ArgumentParser:
+    """A help-less parser of ``{flag: add_argument keywords}``, for ``parents``."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(*args, **kwargs)
+    for flag, kwargs in flags.items():
+        parser.add_argument(flag, **kwargs)
     return parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes after its own."""
-    parser = _flag_parser("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    parser.add_argument("--seed", type=int, help="random seed (default 12345)")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    parser.add_argument(
-        "--print-config", action="store_true", help="echo the resolved config and exit"
-    )
-    for key, caster in _PHYSICAL_TYPES.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", type=caster, dest=key)
-    return parser
-
-
-def _resolve(args: argparse.Namespace, defaults: dict | None = None) -> RunConfig:
+def _resolve(args: argparse.Namespace, defaults: dict | None) -> RunConfig:
     """Precedence: built-in defaults < command defaults < config file < flags."""
     merged = dict(defaults or {})
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key in FIELD_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update({key: v for key in FIELD_TYPES if (v := getattr(args, key)) is not None})
     return load_config(None, merged)
+
+
+#: Command-level defaults for the headline scenario: 8% emission, a
+#: single pumping step, and a declared efficiency of about 0.32.
+HEADLINE_DEFAULTS = {"p_em": 0.08, "m": 1, "eps_local": 0.5}
+
+#: The flags every command takes after its own.
+_COMMON_FLAGS = {
+    "--config": {"metavar": "PATH", "help": "key=value config file"},
+    "--out": {"metavar": "PATH", "help": "write CSV here instead of stdout"},
+    "--seed": {"type": int, "help": "random seed (default 12345)"},
+    "--trials": {"type": int, "help": "Monte Carlo trial count"},
+    "--print-config": {"action": "store_true", "help": "echo the resolved config and exit"},
+    **{f"--{key.replace('_', '-')}": {"type": t, "dest": key} for key, t in _PHYSICAL_TYPES.items()},
+}
+
+#: The flags that a command takes before the common ones.
+_OWN_FLAGS = {
+    "--oracle": {"action": "store_true", "help": "append photon-mode Monte Carlo estimates"},
+    "--axis": {"action": "append", "metavar": "NAME=V1,V2,..."},
+    "--distance-km": {"type": float, "default": 1000.0},
+}
+
+#: Every command, in ``--help`` order: its help, its own flag (or None), its
+#: defaults and the call that renders its CSV from the config and the args.
+COMMANDS = {
+    "link": ("elementary-link closed forms", "--oracle", None,
+             lambda config, args: cmd_link(config, oracle=args.oracle)),
+    "simulate": ("fidelity and time vs distance", None, None,
+                 lambda config, args: cmd_simulate(config)),
+    "fixed-point": ("pumping fixed points and asymptote", "--axis", None,
+                    lambda config, args: cmd_fixed_point(config, _parse_axes(args.axis))),
+    "sweep": ("parameter grids", "--axis", None,
+              lambda config, args: cmd_sweep(config, _parse_axes(args.axis))),
+    "headline": ("the 1000 km scenario", "--distance-km", HEADLINE_DEFAULTS,
+                 lambda config, args: cmd_headline(config, distance_km=args.distance_km)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,42 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-qubit-per-node quantum repeater simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # One parser per flag set, shared by reference; a subcommand's own flag comes first.
-    common = _common_flags()
-    oracle = _flag_parser(
-        "--oracle", action="store_true", help="append photon-mode Monte Carlo estimates"
-    )
-    axis = _flag_parser("--axis", action="append", metavar="NAME=V1,V2,...")
-    distance = _flag_parser("--distance-km", type=float, default=1000.0)
-    sub.add_parser("link", help="elementary-link closed forms", parents=[oracle, common])
-    sub.add_parser("simulate", help="fidelity and time vs distance", parents=[common])
-    sub.add_parser(
-        "fixed-point", help="pumping fixed points and asymptote", parents=[axis, common]
-    )
-    sub.add_parser("sweep", help="parameter grids", parents=[axis, common])
-    sub.add_parser("headline", help="the 1000 km scenario", parents=[distance, common])
+    # One parser per flag set, shared by reference; a command's own flag comes first.
+    common = _flag_parser(_COMMON_FLAGS)
+    own = {flag: _flag_parser({flag: kwargs}) for flag, kwargs in _OWN_FLAGS.items()}
+    for name, (help_text, flag, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[own[flag], common] if flag else [common])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, _, defaults, render = COMMANDS[args.command]
     try:
-        defaults = HEADLINE_DEFAULTS if args.command == "headline" else None
         config = _resolve(args, defaults)
         if args.print_config:
             sys.stdout.write(format_resolved(config) + "\n")
             return 0
-        if args.command == "link":
-            text = cmd_link(config, oracle=args.oracle)
-        elif args.command == "simulate":
-            text = cmd_simulate(config)
-        elif args.command == "fixed-point":
-            text = cmd_fixed_point(config, _parse_axes(args.axis))
-        elif args.command == "sweep":
-            text = cmd_sweep(config, _parse_axes(args.axis))
-        else:
-            text = cmd_headline(config, distance_km=args.distance_km)
+        text = render(config, args)
         if args.out:
             with open(args.out, "w", newline="") as handle:
                 handle.write(text)

@@ -49,7 +49,7 @@ class DensityMatrix(Checked, _Matrix):
     __slots__ = ()
 
     def __new__(cls, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)  # a copy: the caller's array stays writable
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.shape[0] not in (2, 4, 16):

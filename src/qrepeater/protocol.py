@@ -100,7 +100,10 @@ class ProtocolConfig(Checked, _Protocol):
             if m < 0:
                 raise ValueError(f"m must be >= 0, got {m!r}")
         else:
-            m = tuple(m)
+            try:
+                m = tuple(m)
+            except TypeError:  # a non-int scalar such as 3.0
+                raise ValueError(f"m must be an int or one int per level, got {m!r}") from None
             if len(m) != depth:
                 raise ValueError(f"per-level m needs {depth} entries, got {len(m)}")
             if any(mi < 0 for mi in m):

@@ -154,6 +154,18 @@ class TestApplyOverrides:
         with pytest.raises(ValueError, match="unknown"):
             apply_overrides(make_config(), wavelength_nm=1550.0)
 
+    @pytest.mark.parametrize("overrides", [{"f0": 0.9}, {"m": 2}, {"target_span": 63}])
+    def test_untouched_records_are_kept(self, overrides):
+        base = make_config()
+        cfg = apply_overrides(base, **overrides)
+        assert cfg.link is base.link and cfg.noise is base.noise
+
+    def test_p_eta_point_gets_new_noise(self):
+        base = make_config()
+        cfg = apply_overrides(base, p_eta=0.99)
+        assert cfg.noise is not base.noise and cfg.link is base.link
+        assert (cfg.noise.p, cfg.noise.eta, cfg.noise.upsilon) == (0.99, 0.99, base.noise.upsilon)
+
 
 class TestSweep:
     def test_single_point_equals_direct_evaluation(self):

@@ -2,8 +2,10 @@
 and only the photon-mode oracle, the Monte Carlo sampler and
 :mod:`qrepeater.exact` load numpy.  Nor does any command, or importing the
 package and building the CLI parser, load ``dataclasses`` or ``inspect``:
-the records are named tuples.  Each case runs in a fresh interpreter,
-because once a module is imported it stays in ``sys.modules``."""
+the records are named tuples.  No command loads ``numbers`` either: the
+seed and trial checks use ``operator.index``.  Each case runs in a fresh
+interpreter, because once a module is imported it stays in
+``sys.modules``."""
 
 import functools
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from qrepeater import cli
 from qrepeater.cli import main
 from qrepeater.config import RunConfig
 from qrepeater.protocol import monte_carlo_time
@@ -20,7 +23,8 @@ from qrepeater.protocol import monte_carlo_time
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Runs ``cli.main`` on its arguments with output captured, then prints the
-#: exit code and whether numpy, dataclasses and inspect were ever imported.
+#: exit code and whether numpy, dataclasses, inspect and numbers were ever
+#: imported.
 RUN_MAIN = """
 import contextlib, io, sys
 from qrepeater import cli
@@ -29,7 +33,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect", "numbers")))
 """
 
 
@@ -74,7 +78,16 @@ def test_command_never_imports_numpy(argv, code):
 
 @pytest.mark.parametrize("argv, code", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_command_never_imports_dataclasses_or_inspect(argv, code):
-    assert run_main(*argv)[2:] == ("False", "False")
+    assert run_main(*argv)[2:4] == ("False", "False")
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+def test_command_never_imports_numbers(argv, code):
+    assert run_main(*argv)[4:] == ("False",)
+
+
+def test_cases_run_every_command():
+    assert {argv[0] for argv, _ in COMMANDS} >= set(cli.COMMANDS)
 
 
 def test_import_and_parser_never_import_dataclasses_or_inspect():

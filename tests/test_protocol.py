@@ -106,6 +106,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="entries"):
             ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=(1, 2), target_span=15)
 
+    @pytest.mark.parametrize("m", [3.0, None])
+    def test_non_int_scalar_m_is_a_value_error(self, m):
+        with pytest.raises(ValueError, match="^m must be an int or one int per level"):
+            ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=m, target_span=15)
+
 
 class TestElementaryPair:
     def test_perfect_link(self):

@@ -64,3 +64,12 @@ def test_signatures_keep_the_fields_and_defaults():
     assert params(Duration) == [("mean", inspect.Parameter.empty), ("var", 0.0)]
     assert [name for name, _ in params(ProtocolConfig)] == [*ProtocolConfig._fields]
     assert params(ProtocolConfig)[2:] == [("m", 3), ("target_span", 15), ("f0", None)]
+
+
+def test_density_matrix_freezes_a_copy_not_the_callers_array():
+    given = np.eye(2, dtype=complex) / 2
+    record = DensityMatrix(given)
+    assert given.flags.writeable
+    assert not record.matrix.flags.writeable
+    given[0, 0] = 1.0  # the record keeps the values it was built from
+    assert record.matrix[0, 0] == 0.5
