@@ -178,14 +178,21 @@ def photon_mode_oracle(
     return PhotonOracleResult(p_hat, f0_hat, p_se, f0_se)
 
 
+def as_index(value, low: int) -> int | None:
+    """``value`` as an int if it is an integer >= ``low`` and no bool, else None:
+    operator.index takes numpy integers and refuses floats, strings and numpy bools."""
+    try:
+        if not isinstance(value, bool) and (out := operator.index(value)) >= low:
+            return out
+    except TypeError:
+        pass
+    return None
+
+
 def check_sampler_args(seed: int, trials: int) -> tuple[int, int]:
     """Both samplers' check, run before numpy loads: non-bool integral seed >= 0, trials >= 1."""
     for name, value, low in (("seed", seed, 0), ("trials", trials, 1)):
-        try:  # operator.index takes numpy integers and refuses floats and numpy bools
-            ok = not isinstance(value, bool) and operator.index(value) >= low
-        except TypeError:
-            ok = False
-        if not ok:
+        if as_index(value, low) is None:
             raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
     return int(seed), int(trials)
 

@@ -6,14 +6,17 @@ swapped into a stored B pair, which is then pumped m times with freshly
 built same-span C pairs; the survivor is the level's purified A pair.
 C pairs bridge 2n+1 segments with three elementary links and two pairs
 of span n-1, each swapped together from pairs one level further down and
-tightened by a single purification round; no node ever needs more than
-two qubits.  One :class:`Ladder` per config builds the levels, each once
-and only when read; :func:`run_protocol`, the sampler and the
-fixed-point analysis all read it.
+tightened by a single purification round.  The paper's design needs two
+qubits per node; the time model's concurrent schedule is not yet checked
+against that bound.  What each stage swaps together is written once, in
+the level recipe (:func:`_b_parts`, :func:`_helper_parts`,
+:func:`_c_parts`).  One :class:`Ladder` per config builds the levels from
+it, each once and only when read; :func:`run_protocol`, the sampler and
+the fixed-point analysis all read it.
 
 Fidelity bookkeeping is deterministic (conditioned on every purification
-accepting).  The waiting-time process is written once, in
-:meth:`Ladder.fold`: :meth:`Ladder.time` folds it in timing's moments and
+accepting).  :meth:`Ladder.fold` reads the recipe as the waiting-time
+process: :meth:`Ladder.time` folds it in timing's moments and
 :func:`monte_carlo_time` samples it, the check on those moments.
 """
 
@@ -27,6 +30,7 @@ from .bell import BellDiagonalState, Checked, from_fidelity, normalise
 from .channel import (
     NEVER_SUCCEEDS,
     LinkParams,
+    as_index,
     channel_efficiency,
     check_sampler_args,
     entangle_success_prob,
@@ -96,18 +100,17 @@ class ProtocolConfig(Checked, _Protocol):
 
     def __new__(cls, link, noise, m=3, target_span=15, f0=None):
         depth = nesting_depth(target_span)
-        if isinstance(m, int):
-            if m < 0:
-                raise ValueError(f"m must be >= 0, got {m!r}")
-        else:
-            try:
-                m = tuple(m)
-            except TypeError:  # a non-int scalar such as 3.0
-                raise ValueError(f"m must be an int or one int per level, got {m!r}") from None
-            if len(m) != depth:
-                raise ValueError(f"per-level m needs {depth} entries, got {len(m)}")
-            if any(mi < 0 for mi in m):
-                raise ValueError(f"per-level m entries must be >= 0, got {m!r}")
+        per_level = not isinstance(m, bool) and hasattr(m, "__iter__")
+        entries = tuple(m) if per_level else (m,)
+        if per_level and len(entries) != depth:
+            raise ValueError(f"per-level m needs {depth} entries, got {len(entries)}")
+        checked = tuple(as_index(mi, 0) for mi in entries)
+        if None in checked:
+            level = checked.index(None)
+            what = f"m at level {level} must be an int" if per_level else (
+                "m must be an int or one int per level, each")
+            raise ValueError(f"{what} >= 0, got {entries[level]!r}")
+        m = checked if per_level else checked[0]
         if f0 is not None and not 0.0 <= f0 <= 1.0:
             raise ValueError(f"f0 must lie in [0, 1], got {f0!r}")
         return super().__new__(cls, link, noise, m, target_span, f0)
@@ -143,13 +146,26 @@ def _link_prob_and_unit(config: ProtocolConfig) -> tuple[float, float]:
     return prob, config.link.attempt_duration_s
 
 
+# The level recipe: what each stage of level i swaps together, in chain order.
+def _b_parts(a_left, link, a_right) -> list:
+    return [a_left, link, a_right]  # B: A_i, link, A_i
+
+
+def _helper_parts(half) -> list:
+    return [half, half]  # the helper's halves A_{i-1}, swapped, then refined once
+
+
+def _c_parts(helper, link) -> list:  # helper None at level 0
+    return [link] * 3 if helper is None else [link, helper, link, helper, link]
+
+
 def build_b_pair(
     a_left: BellDiagonalState, a_right: BellDiagonalState, config: ProtocolConfig
 ) -> BellDiagonalState:
     """Connect two span-n A pairs through a central elementary link into
     a span 2n+1 B pair.  The three constituents occupy disjoint qubits
     and are generated concurrently; one heralded swap round follows."""
-    return connect_chain([a_left, config.elementary_state, a_right], config.noise)
+    return connect_chain(_b_parts(a_left, config.elementary_state, a_right), config.noise)
 
 
 def _helper_pair(
@@ -170,25 +186,17 @@ def _helper_pair(
 
     Returns the helper pair and its refining round's acceptance probability.
     """
-    state = swap(half, half, config.noise)
+    state = swap(*_helper_parts(half), config.noise)
     outcome = purify(state, state, config.noise)
     return outcome.state, outcome.success_prob
 
 
 def build_c_pair(inner: BellDiagonalState | None, config: ProtocolConfig) -> BellDiagonalState:
     """Fresh pair for one pumping round: three elementary links
-    bracketing two copies of the purified span-h ``inner`` pair, all
-    swapped together into a span 2h + 3 pair.  ``inner`` None is the
-    lowest level, where the chain is three elementary links (span 3).
-
-    ``inner`` is the refined helper pair of :func:`_helper_pair`; its two
-    copies occupy disjoint segments and race concurrently with the three
-    links.
-    """
-    elem = config.elementary_state
-    if inner is None:
-        return connect_chain([elem, elem, elem], config.noise)
-    return connect_chain([elem, inner, elem, inner, elem], config.noise)
+    bracketing two copies of the span-h helper ``inner`` (:func:`_helper_pair`),
+    all swapped together into a span 2h + 3 pair.  ``inner`` None is the
+    lowest level, where the chain is three elementary links (span 3)."""
+    return connect_chain(_c_parts(inner, config.elementary_state), config.noise)
 
 
 def pump(
@@ -238,8 +246,8 @@ def level_step(
 ) -> Level:
     """Nesting level ``idx`` from the A pairs one and two depths below it:
     a B pair from two copies of ``below``, C fodder from helpers built on
-    ``two_below`` (None at level 0, whose fodder is three links), and
-    ``pumping_depth(config.m, idx)`` pump steps."""
+    ``two_below`` (None at level 0: three links), as the level recipe says,
+    and ``pumping_depth(config.m, idx)`` pump steps."""
     b = build_b_pair(below, below, config)
     helper, helper_q = (None, None) if two_below is None else _helper_pair(two_below, config)
     c = build_c_pair(helper, config)
@@ -250,11 +258,10 @@ def level_step(
 class Ladder:
     """The nesting levels of one config, built bottom-up in order by
     :func:`level_step` and only when a read needs them; level i reads the
-    A pairs at depths i and i-1.  :meth:`fold` writes the waiting-time
-    process once, and :meth:`time` and :func:`monte_carlo_time` fold it
-    in two algebras.  Nothing is kept from a failed build: an unpurifiable
-    pump, or a time model that overflows, raises :class:`ProtocolError`
-    on every read that reaches its level."""
+    A pairs at depths i and i-1, and :meth:`time` and :func:`monte_carlo_time`
+    fold :meth:`fold` in two algebras.  Nothing is kept from a failed build:
+    an unpurifiable pump, or a time model that overflows, raises
+    :class:`ProtocolError` on every read that reaches its level."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -287,23 +294,28 @@ class Ladder:
         """The waiting-time process to the A pair over span 2^(depth+1) - 1 in
         ``algebra = (links, max, shift, restart)``: k racing links, concurrent
         stages, a classical wait of tc, and a base build then one round plus tc
-        per entry of ``probs``, any rejection restarting it.  Appends each
-        missing depth to ``values`` (depth 0 is one link; level i's state first)."""
+        per entry of ``probs``, any rejection restarting it.  A stage races the
+        parts the level recipe lists: its pairs in chain order, then all its
+        links as one (a depth-0 pair is a link), then tc.  Appends each missing
+        depth to ``values`` (depth 0 is one link; level i's state first)."""
         links, maximum, shift, restart = algebra
-        tc = self.config.link.classical_time_s
+        tc, link = self.config.link.classical_time_s, object()
+        def chain(parts: list):
+            racers = [part for part in parts if part is not link]
+            if k := len(parts) - len(racers):
+                racers.append(links(k))
+            return shift(racers[0] if len(racers) == 1 else maximum(racers), tc)
         if not values:
             values.append(links(1))
         while (idx := len(values) - 1) < depth:  # the level that builds the next depth
             self.pair(idx + 1)
-            level, below = self.levels[idx], values[idx]
-            if idx:  # B from two A pairs and a link; C fodder from refined helpers
-                b = shift(maximum([below, below, links(1)]), tc)
-                base = shift(maximum([values[idx - 1]] * 2) if idx > 1 else links(2), tc)
+            level, helper = self.levels[idx], None
+            below, two_below = values[idx] if idx else link, values[idx - 1] if idx > 1 else link
+            if idx:  # C fodder from helpers, each its halves refined by one round
+                base = chain(_helper_parts(two_below))
                 helper = restart(base, base, tc, (level.helper_q,))
-                fodder = maximum([helper, helper, links(3)])
-            else:  # level 0: B and C each race three links
-                b, fodder = shift(links(3), tc), links(3)
-            values.append(restart(b, shift(fodder, tc), tc, level.step_probs))
+            b, fodder = chain(_b_parts(below, link, below)), chain(_c_parts(helper, link))
+            values.append(restart(b, fodder, tc, level.step_probs))
         return values[depth]
 
     def time(self, depth: int) -> Duration:

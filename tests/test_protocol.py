@@ -25,7 +25,7 @@ from qrepeater.channel import (
     photon_mode_oracle,
 )
 from qrepeater.config import RunConfig
-from qrepeater.ops import NoiseParams
+from qrepeater.ops import NoiseParams, connect_chain
 from qrepeater.protocol import (
     Ladder,
     ProtocolConfig,
@@ -110,6 +110,32 @@ class TestSchedule:
     def test_non_int_scalar_m_is_a_value_error(self, m):
         with pytest.raises(ValueError, match="^m must be an int or one int per level"):
             ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=m, target_span=15)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ((1.0, 2.0, 3.0), r"^m at level 0 must be an int >= 0, got 1\.0$"),
+            (("1", "2", "3"), r"^m at level 0 must be an int >= 0, got '1'$"),
+            ((1, 2, True), r"^m at level 2 must be an int >= 0, got True$"),
+            ((True, 2, 3), r"^m at level 0 must be an int >= 0, got True$"),
+            ((1, -1, 3), r"^m at level 1 must be an int >= 0, got -1$"),
+            ((1, np.True_, 3), r"^m at level 1 must be an int >= 0, got "),
+            (True, r"^m must be an int or one int per level, each >= 0, got True$"),
+            (-1, r"^m must be an int or one int per level, each >= 0, got -1$"),
+            (np.float64(2.0), r"^m must be an int or one int per level"),
+        ],
+    )
+    def test_each_m_entry_is_a_non_bool_int(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=m, target_span=15)
+
+    def test_numpy_integer_m_is_accepted_as_int(self):
+        scalar, per_level = (
+            ProtocolConfig(link=LinkParams(), noise=NoiseParams(), m=m, target_span=15)
+            for m in (np.int64(2), np.array([1, 2, 3]))
+        )
+        assert scalar.m == 2 and type(scalar.m) is int
+        assert per_level.m == (1, 2, 3) and {type(mi) for mi in per_level.m} == {int}
 
 
 class TestElementaryPair:
@@ -349,6 +375,28 @@ class TestOneFold:
         assert ladder.fold(self.strings(), values, 3) == depth_3
         assert ladder.fold(self.strings(), values, 1) == depth_1
         assert values == [depth_0, depth_1, depth_2, depth_3]
+
+    def test_builders_and_fold_read_one_recipe(self, monkeypatch):
+        # Dropping one helper from C's part list changes both the C state and
+        # C's race in the fold: the two sides read one recipe, by name.
+        cfg = self.CFG
+        inner, elem = Ladder(cfg).pair(1), cfg.elementary_state
+        full_c = build_c_pair(inner, cfg)
+        full_text = Ladder(cfg).fold(self.strings(), [], 2)
+        full_a = Ladder(cfg).pair(2)
+        monkeypatch.setattr(
+            protocol, "_c_parts",
+            lambda helper, link: [link] * 3 if helper is None else [link, helper, link, link],
+        )
+        short_c = build_c_pair(inner, cfg)
+        assert short_c == connect_chain([elem, inner, elem, elem], cfg.noise) != full_c
+        depth_1 = "restart(L3+tc; L3+tc; 2 rounds)"
+        helper_1 = "restart(L2+tc; L2+tc; 1 rounds)"
+        short_text = (
+            f"restart(max({depth_1}, {depth_1}, L1)+tc; max({helper_1}, L3)+tc; 2 rounds)"
+        )
+        assert Ladder(cfg).fold(self.strings(), [], 2) == short_text != full_text
+        assert Ladder(cfg).pair(2) != full_a  # level_step reads it through build_c_pair
 
     def test_restarts_read_the_levels_probabilities(self):
         seen = []
