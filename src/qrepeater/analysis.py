@@ -177,7 +177,7 @@ def apply_overrides(config: ProtocolConfig, **overrides) -> ProtocolConfig:
     # A record no override touches is kept, with the values it has cached.
     link = config.link._replace(**link_kw) if link_kw else config.link
     noise = config.noise._replace(**noise_kw) if noise_kw else config.noise
-    if not isinstance(m, int):
+    if not isinstance(m, bool) and hasattr(m, "__iter__"):  # per level, by ProtocolConfig's test
         m = tuple(pumping_depth(m, i) for i in range(nesting_depth(target)))
     return ProtocolConfig(link=link, noise=noise, m=m, target_span=target, f0=f0)
 

@@ -275,10 +275,11 @@ class Ladder:
 
     @functools.cached_property
     def _moments(self) -> tuple:
-        # timing's algebra, its names read here on the first time, so a patched one counts.
-        prob, unit = _link_prob_and_unit(self.config)
-        racing = {k: max_of_geometric(k, prob, unit) for k in (1, 2, 3)}
-        return racing.__getitem__, max_all, Duration.shifted, restarting_rounds
+        # timing's algebra, its names read here on the first time, so a patched one counts;
+        # k racing links' moments are computed on the first request for that k.
+        prob, unit, geometric = *_link_prob_and_unit(self.config), max_of_geometric
+        racing = functools.cache(lambda k: geometric(k, prob, unit))
+        return racing, max_all, Duration.shifted, restarting_rounds
 
     def pair(self, depth: int) -> BellDiagonalState:
         """The A pair over span 2^(depth+1) - 1; depth 0 is the elementary pair."""

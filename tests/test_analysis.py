@@ -1,12 +1,15 @@
 """Fixed points, the distance asymptote and parameter sweeps."""
 
+import contextlib
 import csv
 import gc
 import io
 import itertools
+import tracemalloc
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qrepeater import analysis, protocol
@@ -23,13 +26,14 @@ from qrepeater.analysis import (
     fixed_point_at_distance,
     sweep,
 )
-from qrepeater.bell import fidelity, from_fidelity
+from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity
 from qrepeater.channel import LinkParams, expected_link_time
 from qrepeater.cli import main
 from qrepeater.config import RunConfig, load_config
 from qrepeater.ops import NoiseParams, connect_chain, purify, swap
 from qrepeater.protocol import (
     Ladder,
+    Level,
     ProtocolConfig,
     ProtocolError,
     build_b_pair,
@@ -41,6 +45,10 @@ from qrepeater.protocol import (
 #: the pumping map alternates error types between rounds; monotonicity
 #: holds beyond that parity effect.
 PARITY_SLACK = 1e-3
+
+#: tracemalloc peak of one README sweep through ``cli.main``: 192 KB at
+#: 1ebfb3a, before the pumping loops kept plain floats (Python 3.11), plus 25%.
+README_SWEEP_PEAK_BOUND = int(192_000 * 1.25)
 
 
 def make_config(f0=None, p=0.995, eta=0.995, upsilon=0.0, m=3, span=15):
@@ -91,6 +99,12 @@ class TestFixedPointAtDistance:
     def test_span_one_is_elementary_fidelity(self):
         fp = fixed_point_at_distance(make_config(f0=0.97), 1)
         assert fp.value == pytest.approx(0.97, abs=1e-12)
+
+    def test_first_round_unpurifiable_is_not_converged(self):
+        # Pure Psi- pumped with pure Psi+ under perfect operations never accepts.
+        b, c = BellDiagonalState(1.0, 0.0, 0.0, 0.0), BellDiagonalState(0.0, 1.0, 0.0, 0.0)
+        fp = _pumped_fixed_point(Level(b, c, (), None, b), NoiseParams(1.0, 1.0))
+        assert fp == FixedPointResult(1.0, 1, False)
 
 
 class TestAsymptoticFidelity:
@@ -165,6 +179,16 @@ class TestApplyOverrides:
         cfg = apply_overrides(base, p_eta=0.99)
         assert cfg.noise is not base.noise and cfg.link is base.link
         assert (cfg.noise.p, cfg.noise.eta, cfg.noise.upsilon) == (0.99, 0.99, base.noise.upsilon)
+
+    def test_numpy_integer_m(self):
+        # A scalar is left to ProtocolConfig's check; only a sequence is stretched.
+        base = make_config(span=15)
+        cfg = apply_overrides(base, m=np.int64(2))
+        assert cfg.m == 2 and type(cfg.m) is int
+        cfg = apply_overrides(base, m=(np.int64(1), np.int64(2)), target_span=31)
+        assert cfg.m == (1, 2, 2, 2) and all(type(mi) is int for mi in cfg.m)
+        with pytest.raises(ValueError, match="m must be an int or one int per level"):
+            apply_overrides(base, m=np.float64(2.0))
 
 
 class TestSweep:
@@ -553,6 +577,41 @@ class TestSweepSharesOneWalkPerLadder:
     def test_interleaved_grid_builds_each_level_once(self, monkeypatch):
         # A walk is kept while any later point still reads its key.
         self.assert_builds_each_level_once(monkeypatch, README_AXES_SPANS_FIRST)
+
+    def test_readme_sweep_finds_each_asymptote_once(self, monkeypatch):
+        reads = Counter()
+
+        class CountingWalk(analysis._Walk):
+            def fixed_point(self, depth):
+                reads[self.config.f0] += 1
+                return super().fixed_point(depth)
+
+        base = make_config()
+        expected = {
+            f0: asymptotic_fidelity(apply_overrides(base, f0=f0)).iterations
+            + len(README_AXES["target_span"])
+            for f0 in README_AXES["f0"]
+        }
+        monkeypatch.setattr(analysis, "_Walk", CountingWalk)
+        rows = sweep(base, README_AXES)
+        assert not any(row["error"] for row in rows)
+        # One read per row and one per depth of a single asymptote search.
+        assert reads == expected
+
+    def test_readme_sweep_memory_at_fixed_work(self):
+        argv = ["sweep", "--axis", "f0=0.96,0.97,0.98,0.99,1.0",
+                "--axis", "target_span=3,7,15,31,63,127", "--tc-s", "70e-6"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue().count("\n") > 30
+        assert peak <= README_SWEEP_PEAK_BOUND, peak
 
     @pytest.mark.parametrize(
         "axes", [README_AXES, README_AXES_SPANS_FIRST], ids=["readme", "readme_spans_first"]

@@ -1,6 +1,7 @@
 """Purification and swapping: closed forms, the exact-matrix oracle, and
 the invariants tying them together."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from qrepeater.bell import ATOL, BellDiagonalState, fidelity, from_fidelity
+from qrepeater.channel import LinkParams
 from qrepeater.exact import (
     BELL_VECTORS,
     bell_offdiagonal_norm,
@@ -23,11 +25,11 @@ from qrepeater.exact import (
 from qrepeater.ops import (
     MIN_SUCCESS_PROB,
     NoiseParams,
-    _xor_convolve,
     connect_chain,
     purify,
     swap,
 )
+from qrepeater.protocol import ProtocolConfig, pump
 
 TOL = 1e-12
 
@@ -159,8 +161,9 @@ class TestConnectChain:
         assert np.max(np.abs(out.weights - s.weights)) < TOL
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            connect_chain([], NoiseParams(1.0, 1.0))
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="^connect_chain requires at least one pair$"):
+                connect_chain(empty, NoiseParams(1.0, 1.0))
 
     def test_four_pair_phase_only_chain(self):
         s = from_fidelity(0.99, 0.0)
@@ -246,6 +249,39 @@ class TestUnpurifiable:
         out = purify(a, b, NoiseParams(1.0, 1.0))
         assert not out.purifiable
         assert out.state is None
+
+
+NOISE_GRID = [
+    NoiseParams(p, p, upsilon) for p in (0.97, 0.995, 1.0) for upsilon in (0.0, 0.25, 0.5)
+]
+
+
+def max_dev(state, ref):
+    return float(np.max(np.abs(state.weights - ref.weights)))
+
+
+@pytest.mark.parametrize("noise", NOISE_GRID, ids=lambda n: f"p_eta={n.p}-upsilon={n.upsilon}")
+class TestLoopsMatchOracle:
+    """The loops that keep a pair as plain float weights between rounds
+    (``protocol.pump`` and a chain's interior swaps) against the 16x16
+    density-matrix oracle, iterated round by round."""
+
+    def test_pump(self, noise):
+        b, c = from_fidelity(0.93, noise.upsilon), from_fidelity(0.88, noise.upsilon)
+        cfg = ProtocolConfig(link=LinkParams(tc_s=70e-6), noise=noise, m=1, target_span=3)
+        ref, ref_probs = b, []
+        for m in range(1, 6):
+            oracle = purify_oracle(ref, c, noise)
+            ref = oracle.state
+            ref_probs.append(oracle.success_prob)
+            a, probs = pump(b, c, m, cfg)
+            assert max_dev(a, ref) <= TOL
+            assert np.max(np.abs(np.subtract(probs, ref_probs))) <= TOL
+
+    def test_connect_chain(self, noise):
+        pairs = [from_fidelity(f, noise.upsilon) for f in (0.97, 0.9, 0.95, 0.92, 0.99)]
+        ref = functools.reduce(lambda acc, nxt: swap_oracle(acc, nxt, noise), pairs)
+        assert max_dev(connect_chain(pairs, noise), ref) <= TOL
 
 
 def bell_states():
@@ -452,31 +488,6 @@ def kernel_outcome(kernel, *args):
 
 class TestKernelsMatchNumpyReference:
     @given(
-        u=st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
-        v=st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4),
-    )
-    def test_xor_convolve_sums_in_i_order(self, u, v):
-        expected = []
-        for k in range(4):
-            total = 0.0
-            for i in range(4):
-                total += u[i] * v[_REF_XOR[i][k]]
-            expected.append(total.hex())
-        assert [x.hex() for x in _xor_convolve(u, v)] == expected
-
-    @given(w=raw_weights())
-    def test_from_weights(self, w):
-        try:
-            expected = bits(reference_from_weights(w))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                BellDiagonalState.from_weights(w)
-            assert str(raised.value) == str(exc)
-        else:
-            assert bits(BellDiagonalState.from_weights(w)) == expected
-            assert bits(BellDiagonalState.from_weights(np.array(w))) == expected
-
-    @given(
         w=st.one_of(raw_weights(), st.lists(st.integers(-2, 9), min_size=4, max_size=4)),
         form=st.sampled_from([list, tuple, np.array, lambda w: [np.float64(x) for x in w]]),
     )
@@ -490,17 +501,6 @@ class TestKernelsMatchNumpyReference:
     def test_from_weights_malformed_inputs(self, make):
         expected = from_weights_outcome(reference_from_weights, make())
         assert from_weights_outcome(BellDiagonalState.from_weights, make()) == expected
-
-    @given(a=kernel_states, b=kernel_states, p=reliabilities, eta=reliabilities)
-    def test_purify(self, a, b, p, eta):
-        noise = NoiseParams(p, eta)
-        expected = kernel_outcome(reference_purify, a, b, noise)
-        assert kernel_outcome(purify, a, b, noise) == expected
-
-    @given(a=kernel_states, b=kernel_states, p=reliabilities, eta=reliabilities)
-    def test_swap(self, a, b, p, eta):
-        noise = NoiseParams(p, eta)
-        assert kernel_outcome(swap, a, b, noise) == kernel_outcome(reference_swap, a, b, noise)
 
     @pytest.mark.parametrize("p", [1.0, 0.97])
     @pytest.mark.parametrize("a", EDGE_STATES)
@@ -525,3 +525,20 @@ class TestKernelsMatchNumpyReference:
             assert out.success_prob == success
             new = out.state
             assert bits(new) == bits(ref)
+
+
+class TestChainLoop:
+    """A chain's interior swaps keep plain float weights between rounds; the
+    chain must be, bit for bit, the left fold of the public ``swap``."""
+
+    @given(pairs=st.lists(kernel_states, min_size=1, max_size=6), p=reliabilities, eta=reliabilities)
+    def test_matches_folded_public_swap(self, pairs, p, eta):
+        noise = NoiseParams(p, eta)
+
+        def folded(pairs, noise):
+            return functools.reduce(lambda acc, nxt: swap(acc, nxt, noise), pairs)
+
+        expected = kernel_outcome(folded, pairs, noise)
+        assert kernel_outcome(connect_chain, pairs, noise) == expected
+        if len(pairs) == 1:
+            assert connect_chain(pairs, noise) is pairs[0]

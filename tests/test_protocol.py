@@ -5,17 +5,25 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qrepeater import protocol
+from qrepeater import cli, protocol, timing
+from qrepeater.analysis import (
+    apply_overrides,
+    asymptotic_fidelity,
+    fixed_point_at_distance,
+    sweep,
+)
 from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity
 from qrepeater.channel import (
     LinkParams,
@@ -90,6 +98,25 @@ class TestSchedule:
         assert round_span_up(50) == 63
         assert round_span_up(63) == 63
 
+    def test_one_span_rule_up_to_2_to_the_41(self):
+        for k in range(1, 41):
+            assert nesting_depth(2 ** (k + 1) - 1) == k
+            assert round_span_up(2**k - 1) == 2**k - 1
+            assert round_span_up(2**k) == round_span_up(2 ** (k + 1) - 1) == 2 ** (k + 1) - 1
+
+    @pytest.mark.parametrize("span", [0, -1, -7])
+    def test_spans_below_one_rejected(self, span):
+        with pytest.raises(ValueError, match=f"^target_span must be >= 1, got {span}$"):
+            nesting_depth(span)
+        with pytest.raises(ValueError, match=f"^span must be >= 1, got {span}$"):
+            round_span_up(span)
+
+    @pytest.mark.parametrize("span", [2, 4, 5, 6, 10, 2**20, 2**40 + 1])
+    def test_unschedulable_span_message(self, span):
+        message = f"target_span must be of the form 2^k - 1 (1, 3, 7, 15, ...), got {span}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nesting_depth(span)
+
     def test_depth_is_derived_from_target_span(self):
         for span in (1, 3, 15, 1023):
             cfg = ProtocolConfig(link=LinkParams(), noise=NoiseParams(), target_span=span)
@@ -160,6 +187,8 @@ class TestElementaryPair:
     def test_f0_override(self):
         pair = Ladder(make_config(f0=0.961558)).pair(0)
         assert fidelity(pair) == pytest.approx(0.961558, abs=TOL)
+        # A pinned f0 splits its infidelity by upsilon like a derived one.
+        assert Ladder(make_config(f0=0.95, upsilon=0.2)).pair(0) == from_fidelity(0.95, 0.2)
 
 
 class TestBuildBPair:
@@ -233,6 +262,9 @@ class TestPump:
         b, c = from_fidelity(1.0, 0.0), from_fidelity(0.0, 0.0)
         with pytest.raises(ProtocolError, match="level 4"):
             pump(b, c, 1, cfg, level=4)
+        message = "unpurifiable pump step 1: acceptance probability 0.000e+00"
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            pump(b, c, 3, cfg)
         # One ``except ValueError`` catches bad input and failed builds alike.
         assert issubclass(ProtocolError, ValueError)
 
@@ -445,6 +477,128 @@ class TestOneFold:
         monkeypatch.setattr(protocol, "restarting_rounds", counted)
         ladder.time(2)
         assert len(restarts) == 3
+
+    def test_moments_race_any_number_of_links(self, monkeypatch):
+        # A recipe whose level-0 C races four links: the moments compute
+        # k = 4 on its first request, and the sampler draws the same recipe.
+        monkeypatch.setattr(
+            protocol, "_c_parts",
+            lambda helper, link: [link] * 4 if helper is None else [link, helper, link, helper, link],
+        )
+        cfg, tc = self.CFG, self.CFG.link.classical_time_s
+        ladder = Ladder(cfg)
+        assert ladder.fold(self.strings(), [], 1) == "restart(L3+tc; L4+tc; 2 rounds)"
+        prob, unit = protocol._link_prob_and_unit(cfg)
+        b, c = (timing.max_of_geometric(k, prob, unit).shifted(tc) for k in (3, 4))
+        step_probs = list(ladder.levels[0].step_probs)
+        assert ladder.time(1) == timing.restarting_rounds(b, c, tc, step_probs)
+        assert 0.0 < ladder.time(2).mean < math.inf
+        assert monte_carlo_time(cfg, seed=1, trials=20).n_trials == 20
+
+
+class TestLinkTimeOverflow:
+    MESSAGE = "expected time overflows a float at the elementary link"
+
+    @pytest.mark.parametrize("command", ["headline", "simulate"])
+    def test_command_exits_2_naming_the_link(self, command, capsys):
+        assert cli.main([command, "--t0-s", "1e200"]) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    def test_ladder_time_raises_a_protocol_error(self):
+        link = LinkParams(t0_s=1e200)
+        cfg = ProtocolConfig(link=link, noise=NoiseParams(0.995, 0.995), m=3, target_span=3)
+        with pytest.raises(ProtocolError, match=self.MESSAGE):
+            Ladder(cfg).time(0)
+
+    def test_sweep_keeps_the_finite_rows(self, capsys):
+        spans = ["--axis", "target_span=3,7"]
+        assert cli.main(["sweep", "--axis", "t0_s=1e-6", *spans]) == 0
+        finite = capsys.readouterr().out.splitlines()
+        assert cli.main(["sweep", "--axis", "t0_s=1e-6,1e200", *spans]) == 0
+        both = capsys.readouterr().out.splitlines()
+        assert both[: len(finite)] == finite
+        assert both[len(finite):] == [f"1e+200,{span},,,,,{self.MESSAGE}" for span in (3, 7)]
+
+
+@pytest.fixture
+def time_calls(monkeypatch):
+    """Counts the moment-algebra calls the protocol makes; ``max_all``
+    folds ``max_pair``, which it looks up in ``timing``."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(timing, "max_pair", counted("max_pair", timing.max_pair))
+    for name in ("restarting_rounds", "max_of_geometric"):
+        monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+    return calls
+
+
+class TestReadersComputeOnlyTheTimesTheyRead:
+    README_AXES = {"f0": [0.96, 0.97, 0.98, 0.99, 1.0], "target_span": [3, 7, 15, 31, 63, 127]}
+
+    def test_fixed_points_asymptote_and_sampler_compute_none(self, time_calls):
+        cfg = RunConfig(f0=0.98, target_span=15).protocol_config()
+        assert asymptotic_fidelity(cfg).converged
+        assert fixed_point_at_distance(cfg, 15).converged
+        assert monte_carlo_time(cfg, seed=3, trials=50).n_trials == 50
+        assert not time_calls
+
+    def test_readme_sweep_times_its_rows_depths_only(self, time_calls):
+        base = RunConfig(tc_s=70e-6).protocol_config()
+        rows = sweep(base, self.README_AXES)
+        assert all(row["error"] == "" for row in rows)
+        in_sweep = Counter(time_calls)
+        assert in_sweep["max_pair"] and in_sweep["restarting_rounds"]
+        time_calls.clear()
+        # Each f0's ladder is timed up to its deepest row, span 127, and no deeper.
+        deepest = nesting_depth(max(self.README_AXES["target_span"]))
+        for f0 in self.README_AXES["f0"]:
+            Ladder(apply_overrides(base, f0=f0)).time(deepest)
+        assert in_sweep == time_calls
+
+
+class TestErrorPaths:
+    P_ZERO = "elementary link never succeeds (P = 0)"
+
+    def test_p_zero_link_with_pinned_f0_fails_every_reader(self):
+        cfg = ProtocolConfig(LinkParams(l0_km=5000.0), NoiseParams(), 3, 7, f0=0.9)
+        for read in (
+            lambda: fixed_point_at_distance(cfg, 7),
+            lambda: asymptotic_fidelity(cfg),
+            lambda: monte_carlo_time(cfg, seed=0, trials=10),
+            lambda: run_protocol(cfg),
+        ):
+            with pytest.raises(ProtocolError, match=re.escape(self.P_ZERO)):
+                read()
+        (row,) = sweep(cfg, {"target_span": [7]})
+        assert row["error"] == self.P_ZERO and row["expected_time_s"] is None
+
+    def test_negative_depth_rejected(self):
+        ladder = Ladder(RunConfig(target_span=7).protocol_config())
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            ladder.time(-1)
+        assert ladder.levels == []
+
+    def test_headline_overflow_names_its_level_and_builds_no_level_past_it(
+        self, monkeypatch, capsys
+    ):
+        built = []
+        real = protocol.build_b_pair
+
+        def logged(a_left, a_right, config):
+            built.append(a_left)
+            return real(a_left, a_right, config)
+
+        monkeypatch.setattr(protocol, "build_b_pair", logged)
+        assert cli.main(["headline", "--distance-km", "1e80"]) == 2
+        assert "expected time overflows a float at level 208" in capsys.readouterr().err
+        # Levels 0..208, each once: a ladder builds its levels in order.
+        assert len(built) == 209
 
 
 class TestExpectedTimePolynomialGrowth:
