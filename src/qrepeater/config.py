@@ -103,8 +103,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         values.update({k: v for k, v in overrides.items() if v is not None})
     config = RunConfig(**values)
     config.protocol_config()  # runs the link, noise and protocol checks
-    if config.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {config.trials!r}")
     check_sampler_args(config.seed, config.trials)
     return config
 

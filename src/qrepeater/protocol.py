@@ -277,9 +277,12 @@ class Ladder:
     def _moments(self) -> tuple:
         # timing's algebra, its names read here on the first time, so a patched one counts;
         # k racing links' moments are computed on the first request for that k.
-        prob, unit, geometric = *_link_prob_and_unit(self.config), max_of_geometric
+        prob, unit = _link_prob_and_unit(self.config)
+        geometric, maximum, shift = max_of_geometric, max_all, Duration.shifted
         racing = functools.cache(lambda k: geometric(k, prob, unit))
-        return racing, max_all, Duration.shifted, restarting_rounds
+        def race(pairs: list, links: int, wait: float) -> Duration:
+            return shift(maximum([*pairs, racing(links)] if links else pairs), wait)
+        return race, restarting_rounds
 
     def pair(self, depth: int) -> BellDiagonalState:
         """The A pair over span 2^(depth+1) - 1; depth 0 is the elementary pair."""
@@ -293,21 +296,21 @@ class Ladder:
 
     def fold(self, algebra: tuple, values: list, depth: int):
         """The waiting-time process to the A pair over span 2^(depth+1) - 1 in
-        ``algebra = (links, max, shift, restart)``: k racing links, concurrent
-        stages, a classical wait of tc, and a base build then one round plus tc
-        per entry of ``probs``, any rejection restarting it.  A stage races the
-        parts the level recipe lists: its pairs in chain order, then all its
-        links as one (a depth-0 pair is a link), then tc.  Appends each missing
-        depth to ``values`` (depth 0 is one link; level i's state first)."""
-        links, maximum, shift, restart = algebra
+        ``algebra = (race, restart)``, its two verbs.  ``race(pairs, links,
+        wait)`` is one stage: the pair values in chain order and ``links``
+        elementary links racing as one racer (none when 0), then a wait.
+        ``restart(base, round, tc, probs)`` pays a base build, then one round
+        plus tc per entry of ``probs``, any rejection restarting it.  Each
+        stage races the parts the level recipe lists (a depth-0 pair is a
+        link) and waits tc.  Appends each missing depth to ``values`` (depth
+        0 is one link, ``race([], 1, 0.0)``; level i's state first)."""
+        race, restart = algebra
         tc, link = self.config.link.classical_time_s, object()
         def chain(parts: list):
-            racers = [part for part in parts if part is not link]
-            if k := len(parts) - len(racers):
-                racers.append(links(k))
-            return shift(racers[0] if len(racers) == 1 else maximum(racers), tc)
+            pairs = [part for part in parts if part is not link]
+            return race(pairs, len(parts) - len(pairs), tc)
         if not values:
-            values.append(links(1))
+            values.append(race([], 1, 0.0))
         while (idx := len(values) - 1) < depth:  # the level that builds the next depth
             self.pair(idx + 1)
             level, helper = self.levels[idx], None
@@ -322,8 +325,8 @@ class Ladder:
     def time(self, depth: int) -> Duration:
         """Mean and variance of the time to build the A pair over span
         2^(depth+1) - 1, computed once, on first read: :meth:`fold` in
-        timing's moments (``max_of_geometric``, ``max_all``,
-        ``Duration.shifted``, ``restarting_rounds``)."""
+        timing's moments, a stage's race from ``max_of_geometric``,
+        ``max_all`` and ``Duration.shifted``, a restart ``restarting_rounds``."""
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth!r}")
         try:
@@ -381,10 +384,11 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     """Discrete-event sampling of the protocol's completion time:
     :meth:`Ladder.fold` in a sampler algebra, whose values draw ``count``
     trials from one seeded generator (``seed`` an int >= 0, ``trials`` an
-    int >= 1), so results are reproducible.  Each link draws a geometric
-    attempt count, concurrent stages finish at the max of their children,
-    each purification round accepts with its computed probability, and a
-    rejection restarts the stage.
+    int >= 1), so results are reproducible.  A stage's race draws its pairs
+    in chain order, then a geometric attempt count per link, and finishes
+    at their max plus its wait; in a restart each purification round
+    accepts with its computed probability, and a rejection restarts the
+    stage.
 
     Racing links come from :func:`_link_maxima`: for P < 1/3 (links have
     at most 0.197) numpy draws a count as ``ceil(E / -log1p(-P))``, E
@@ -410,41 +414,37 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
     rate_a, unit_a = np.array(rate), np.array(unit)  # 0-d: numpy converts a float per call
     rng = np.random.default_rng(seed)
 
-    def links(k: int):
-        def draw(count: int):
-            if count == 1:
-                return _link_max(rng, rate, unit, k)
-            return _link_maxima(rng, rate_a, unit_a, count, k)
-        draw.racers = k
-        return draw
-
-    def maximum(xs):
-        def draw(count: int):
-            if count == 1:
-                return max([x(1) for x in xs])
-            out, *rest = [x(count) for x in xs]
-            for other in rest:
-                np.maximum(out, other, out=out)
-            return out
-        return draw
-
-    def shift(x, tc: float):
-        tc_a = np.array(tc)
-        def draw(count: int):
-            if count == 1:
-                return x(1) + tc
-            out = x(count)
-            out += tc_a
-            return out
-        draw.merge = getattr(x, "racers", 0), tc  # a restart draws base and round at once
+    def race(pairs: list, links: int, wait: float):
+        wait_a = np.array(wait)
+        if not pairs:  # links only: level 0's stages and level 1's helpers, most draws
+            def draw(count: int):
+                if count == 1:
+                    return _link_max(rng, rate, unit, links) + wait
+                out = _link_maxima(rng, rate_a, unit_a, count, links)
+                out += wait_a
+                return out
+        else:
+            def draw(count: int):
+                # The pairs in chain order, then the links.
+                racers = [x(count) for x in pairs]
+                if links:
+                    racers.append(_link_max(rng, rate, unit, links) if count == 1
+                                  else _link_maxima(rng, rate_a, unit_a, count, links))
+                if count == 1:
+                    return max(racers) + wait
+                out, *rest = racers
+                for other in rest:
+                    np.maximum(out, other, out=out)
+                out += wait_a
+                return out
+        draw.merge = 0 if pairs else links, wait  # a restart draws base and round at once
         return draw
 
     def restart(base, round_, tc: float, probs):
         # timing.restarting_rounds' process; a rejection restarts the attempt.
         if not probs:
             return base
-        merge = getattr(base, "merge", (0, 0.0))
-        racers, wait = merge if merge == getattr(round_, "merge", None) else (0, 0.0)
+        racers, wait = base.merge if base.merge == round_.merge else (0, 0.0)
         tc_a, wait_a = np.array(tc), np.array(wait)
         def opening(count: int):
             # An attempt's base build, first round and tc; racers: one draw, base rows first.
@@ -498,7 +498,7 @@ def monte_carlo_time(config: ProtocolConfig, seed: int, trials: int) -> TimeDist
                 attempt = opening(todo.size)
         return draw
 
-    draw = Ladder(config).fold((links, maximum, shift, restart), [], config.depth)
+    draw = Ladder(config).fold((race, restart), [], config.depth)
     with np.errstate(over="ignore", invalid="ignore"):
         # A copy: level-0 arrays are halves of merged draws, and one trial is a float.
         samples = np.array(draw(trials), ndmin=1)

@@ -142,9 +142,9 @@ MUTANTS = [
            "bits only: pump rounds skip the renormalisation"),
     # Time algebra
     Mutant("fold-no-shift", "protocol.py",
-           "return shift(racers[0] if len(racers) == 1 else maximum(racers), tc)",
-           "return racers[0] if len(racers) == 1 else maximum(racers)",
-           "Ladder.fold drops a stage's shift(..., tc)"),
+           "return race(pairs, len(parts) - len(pairs), tc)",
+           "return race(pairs, len(parts) - len(pairs), 0.0)",
+           "Ladder.fold's stages race without their wait tc"),
     Mutant("fold-two-below", "protocol.py",
            "values[idx - 1] if idx > 1 else link", "values[idx - 1] if idx > 0 else link",
            "level 1's helpers race two depth-0 pairs instead of two links"),
@@ -197,7 +197,7 @@ MUTANTS = [
            "ok = rng.random(1)[0] < probs[0]", "ok = rng.random(1)[0] < probs[-1]",
            "a probs index in the one-trial restart"),
     Mutant("no-merge", "protocol.py",
-           "draw.merge = getattr(x, \"racers\", 0), tc", "draw.merge = 0, tc",
+           "draw.merge = 0 if pairs else links, wait", "draw.merge = 0, wait",
            "no merged base-and-round draw: the same samples, more generator calls"),
     Mutant("float-path-threshold", "protocol.py",
            "if todo.size == 1:", "if todo.size == 0:",
@@ -237,9 +237,6 @@ MUTANTS = [
     Mutant("headline-default", "cli.py",
            "\"p_em\": 0.08, \"m\": 1", "\"p_em\": 0.08, \"m\": 2",
            "one default: the headline command's m"),
-    Mutant("trials-message", "config.py",
-           "if config.trials < 1:", "if config.trials < 0:",
-           "trials = 0 gets the sampler's message"),
     Mutant("csv-digits", "cli.py",
            "f\"{v:.12g}\"", "f\"{v:.11g}\"",
            "the CSV prints one digit fewer"),

@@ -112,7 +112,7 @@ class TestLoadConfig:
             parse_config_file(path)
 
     def test_trials_message_kept(self):
-        with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^trials must be an int >= 1, got 0$"):
             load_config(None, {"trials": 0})
 
 

@@ -345,6 +345,38 @@ class TestLadder:
             assert self.level_bits(step) == self.level_bits(level)
             assert all(type(pair) is BellDiagonalState for pair in (step.b, step.c, step.a))
 
+    #: config -> per level, the SHA-256 of its B, C and A weights as
+    #: ``float.hex``, space-joined, recorded from a separate process at
+    #: 88ad1dc.  A nonzero upsilon lets the order of C's parts move bits,
+    #: which the default upsilon = 0 does not.
+    LEVEL_WEIGHTS = {
+        "upsilon_0.3": (RunConfig(upsilon=0.3, target_span=63), (
+            "19f5b947acd137d00b9d7652b422898f123286f66b6ddca1c478091a3688a672",
+            "a2040f992b064461463d806a73c19a06fb19c82f95faa3f898271cb9c98c492f",
+            "a1b3b8d6d1b252662a514735b40d0411fd463bf3456a6ad6935d23c84e2e7fe1",
+            "581a6d9d76bf6d7883031b9c5fde232603a968410058018b3fdc6b2758047d17",
+            "4e78b1978fb34d85f14d2e3de7664061a67bdc23883e669e19c318f73ddb37d2",
+        )),
+        "f0_0.97_upsilon_0.1_m_2": (RunConfig(f0=0.97, upsilon=0.1, m=2, target_span=63), (
+            "d61b3c0e1553128efc31ecc435947716720dcfdbb7f14ea959771b8bef15aeb4",
+            "adca3dba909a38f36940c3a9e36d1daf77914d90ae77845069b61b61a1e5b777",
+            "d977942490cc88392e09c01a345f156908c95ae05376a8a583acc67315dfefb1",
+            "ba7a7baf1eb6eb70c90c349d0ca5e6b4324ef75bfd4d89705d2ff6839da4fce2",
+            "cd0550dfc35ff555e03b2426e8bf59e28e8f44f1251e031e9047d2f22a1956bf",
+        )),
+    }
+
+    @pytest.mark.parametrize("name", LEVEL_WEIGHTS)
+    def test_level_weights_pinned_to_depth_5(self, name):
+        run_config, pinned = self.LEVEL_WEIGHTS[name]
+        ladder = Ladder(run_config.protocol_config())
+        ladder.pair(5)
+        got = tuple(
+            hashlib.sha256(" ".join(self.level_bits(level)[0]).encode()).hexdigest()
+            for level in ladder.levels
+        )
+        assert got == pinned
+
     @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS)
     def test_pair_loops_level_step(self, cfg, monkeypatch):
         steps = []
@@ -372,15 +404,17 @@ class TestOneFold:
         """A toy algebra whose values record each operation as text."""
         tc = cls.CFG.link.classical_time_s
 
-        def shift(x, wait):
-            assert wait == tc
-            return f"{x}+tc"
+        def race(pairs, links, wait):
+            assert wait in (tc, 0.0)
+            racers = [*pairs, f"L{links}"] if links else pairs
+            text = racers[0] if len(racers) == 1 else f"max({', '.join(racers)})"
+            return f"{text}+tc" if wait else text
 
         def restart(base, round_, wait, probs):
             assert wait == tc
             return f"restart({base}; {round_}; {len(probs)} rounds)"
 
-        return (lambda k: f"L{k}", lambda xs: f"max({', '.join(xs)})", shift, restart)
+        return race, restart
 
     def test_structure_of_depths_0_to_3(self):
         ladder, values = Ladder(self.CFG), []
@@ -432,14 +466,14 @@ class TestOneFold:
 
     def test_restarts_read_the_levels_probabilities(self):
         seen = []
-        links, maximum, shift, _ = self.strings()
+        race, _ = self.strings()
 
         def restart(base, round_, wait, probs):
             seen.append(tuple(probs))
             return "r"
 
         ladder = Ladder(self.CFG)
-        ladder.fold((links, maximum, shift, restart), [], 3)
+        ladder.fold((race, restart), [], 3)
         l0, l1, l2 = ladder.levels
         expected = [l0.step_probs, (l1.helper_q,), l1.step_probs, (l2.helper_q,), l2.step_probs]
         assert seen == expected
