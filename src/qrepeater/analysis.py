@@ -186,13 +186,16 @@ def table(
     base_config: ProtocolConfig, axes: Mapping[str, Sequence], columns: Sequence[str]
 ) -> tuple[dict, ...]:
     """One row per point of the cartesian grid, in lexicographic order: its
-    axis values, the named ``columns`` that :data:`COLUMNS` holds (other
-    names are skipped) and its ``error`` ("" if none; else the columns are
-    None).  Points are grouped by ladder; one walk per group is built, read
-    only as far as the columns need and dropped before the next is built."""
+    axis values, the named ``columns`` (each in :data:`COLUMNS` or ``error``;
+    another name raises ValueError) and its ``error`` ("" if none; else the
+    columns are None).  Points are grouped by ladder; one walk per group is
+    built, read only as far as the columns need and dropped before the next
+    is built."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
-    results = [name for name in columns if name in COLUMNS]
+    results = [name for name in columns if name != "error"]
+    if unknown := [name for name in results if name not in COLUMNS]:
+        raise ValueError(f"unknown columns: {unknown}")
     rows = tuple(dict(zip(axes, point)) for point in itertools.product(*axes.values()))
     # The ladder does not depend on the target span, and a per-level m
     # reuses its last entry for every deeper level, so m with trailing

@@ -18,6 +18,7 @@ import sys
 
 from .analysis import table
 from .channel import photon_mode_oracle
+from .config import DEFAULT_SEED
 from .config import FIELD_TYPES, RunConfig, format_resolved, load_config, parse_config_file
 from .protocol import round_span_up
 
@@ -175,7 +176,7 @@ HEADLINE_DEFAULTS = {"p_em": 0.08, "m": 1, "eps_local": 0.5}
 _COMMON_FLAGS = {
     "--config": {"metavar": "PATH", "help": "key=value config file"},
     "--out": {"metavar": "PATH", "help": "write CSV here instead of stdout"},
-    "--seed": {"type": int, "help": "random seed (default 12345)"},
+    "--seed": {"type": int, "help": f"random seed (default {DEFAULT_SEED})"},
     "--trials": {"type": int, "help": "Monte Carlo trial count"},
     "--print-config": {"action": "store_true", "help": "echo the resolved config and exit"},
     **{f"--{key.replace('_', '-')}": {"type": t, "dest": key} for key, t in _PHYSICAL_TYPES.items()},

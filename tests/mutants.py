@@ -19,8 +19,9 @@ mutant applies to the unedited tree, so it fails on every mutated one.
 Progress goes to stderr.  The JSON kill map goes to stdout: for each mutant,
 the ids of the tests that failed on it (less any that fail on the unedited
 copy), or ``["timeout"]`` when the run passed :data:`TIMEOUT_S`, which counts
-as a kill.  An empty list is a survivor.  Each run takes at least as long as
-tier-1, and a failing one longer.
+as a kill.  An empty list is a survivor, and any survivor makes the exit
+status 1.  Each run takes at least as long as tier-1, and a failing one
+longer.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main() -> int:
         sys.stdout, indent=1,
     )
     print()
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

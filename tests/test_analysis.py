@@ -25,6 +25,7 @@ from qrepeater.analysis import (
     asymptotic_fidelity,
     fixed_point_at_distance,
     sweep,
+    table,
 )
 from qrepeater.bell import BellDiagonalState, fidelity, from_fidelity
 from qrepeater.channel import LinkParams, expected_link_time
@@ -142,6 +143,17 @@ class TestAsymptoticFidelity:
         assert all(a + PARITY_SLACK >= b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
+    def test_a_step_equal_to_the_tolerance_stops_the_search(self, monkeypatch):
+        # The stop rule is <=.  On the default config the depth-3 step is the
+        # first smaller than every earlier one; as the tolerance it ends the
+        # search there, and a strict < would run on to depth 5.
+        cfg = RunConfig().protocol_config()
+        fp = {d: fixed_point_at_distance(cfg, 2 ** (d + 1) - 1).value for d in (1, 2, 3)}
+        step = abs(fp[3] - fp[2])
+        assert step < abs(fp[2] - fp[1])
+        monkeypatch.setattr(analysis, "ASYMPTOTE_TOL", step)
+        assert asymptotic_fidelity(cfg) == FixedPointResult(fp[3], 3, True)
+
     def test_nonincreasing_in_noise(self):
         values = [
             asymptotic_fidelity(make_config(f0=0.98, p=pe, eta=pe)).value
@@ -249,6 +261,13 @@ class TestSweep:
             sweep(make_config(), {})
         with pytest.raises(ValueError):
             sweep(make_config(), {"m": []})
+
+    def test_unknown_column_rejected(self):
+        # A misspelt column is an error, not a row without it; "error" is a
+        # column the CLI names.
+        with pytest.raises(ValueError, match=r"unknown columns: \['fidelty'\]"):
+            table(make_config(), {"f0": [0.98]}, ["fidelty", "error"])
+        assert table(make_config(), {"f0": [0.98]}, ["error"]) == ({"f0": 0.98, "error": ""},)
 
     def test_error_free_limit_everywhere(self):
         rows = sweep(perfect_config(span=7), {"m": [0, 3]})
@@ -455,40 +474,20 @@ def test_finite_pumping_can_exceed_the_fixed_point():
     assert fidelity(result.final) > fp.value
 
 
-def per_point_asymptote(config):
-    """The asymptote loop on a fresh ladder of its own, as each sweep point
-    once ran it."""
-    previous = None
-    ladder = Ladder(config)
-    for depth in range(1, ASYMPTOTE_MAX_LEVELS + 1):
-        ladder.pair(depth)
-        fp = _pumped_fixed_point(ladder.levels[depth - 1], config.noise)
-        if fp.value < USEFUL_FIDELITY_FLOOR:
-            return FixedPointResult(fp.value, depth, False)
-        if previous is not None and abs(fp.value - previous) <= ASYMPTOTE_TOL:
-            return FixedPointResult(fp.value, depth, True)
-        previous = fp.value
-    return FixedPointResult(previous, ASYMPTOTE_MAX_LEVELS, False)
-
-
 def per_point_sweep_rows(base, axes):
-    """Sweep rows built point by point, each from fresh ladders and with
-    nothing shared between points."""
+    """Sweep rows built point by point from the per-point functions, each
+    call on fresh ladders, with nothing shared between points."""
     rows = []
     for point in itertools.product(*axes.values()):
         row = dict(zip(axes, point))
         try:
             cfg = apply_overrides(base, **row)
-            ladder = Ladder(cfg)
-            final = ladder.pair(cfg.depth)
-            if ladder.levels:
-                fp = _pumped_fixed_point(ladder.levels[-1], cfg.noise)
-            else:
-                fp = FixedPointResult(fidelity(final), 0, True)
-            asym = per_point_asymptote(cfg)
+            result = run_protocol(cfg)
+            fp = fixed_point_at_distance(cfg, cfg.target_span)
+            asym = asymptotic_fidelity(cfg)
             row.update(
-                fidelity=fidelity(final), f_fp=fp.value, f_inf=asym.value,
-                expected_time_s=ladder.time(cfg.depth).mean, error="",
+                fidelity=fidelity(result.final), f_fp=fp.value, f_inf=asym.value,
+                expected_time_s=result.total_expected_time, error="",
             )
         except (ValueError, ProtocolError) as exc:
             row.update(
@@ -554,7 +553,7 @@ class TestSweepSharesOneWalkPerLadder:
         # Each f0's ladder reaches the deeper of span 127's depth (6) and
         # the depth where its asymptote stops.
         deepest = {
-            f0: max(6, per_point_asymptote(apply_overrides(base, f0=f0)).iterations)
+            f0: max(6, asymptotic_fidelity(apply_overrides(base, f0=f0)).iterations)
             for f0 in README_AXES["f0"]
         }
         builds = []
@@ -643,7 +642,7 @@ class TestSweepSharesOneWalkPerLadder:
         fixed_points = [FixedPointResult(0.98, 0, True)] + [
             _pumped_fixed_point(level, cfg.noise) for level in ladder.levels
         ]
-        asymptote = per_point_asymptote(cfg)
+        asymptote = asymptotic_fidelity(cfg)
         expected_rows = []
         for depth, fp in enumerate(fixed_points):
             span = 2 ** (depth + 1) - 1

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from test_noisy_ops import chain_phase_only, dejmps_phase_only
+
 from qrepeater import cli, protocol, timing
 from qrepeater.analysis import (
     apply_overrides,
@@ -51,15 +53,6 @@ from qrepeater.protocol import (
 
 TOL = 1e-12
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def chain_phase_only(f, n):
-    return (1 + (2 * f - 1) ** n) / 2
-
-
-def dejmps_phase_only(f1, f2):
-    accept = f1 * f2 + (1 - f1) * (1 - f2)
-    return f1 * f2 / accept, accept
 
 
 def make_config(f0=None, p=1.0, eta=1.0, upsilon=0.0, m=3, span=15, p_em=0.05, eps_local=1.0):
@@ -762,64 +755,41 @@ def merged(calls):
 
 
 def reference_monte_carlo_samples(config, rng, trials):
-    """The sampler body before its link maxima came from exponentials,
-    kept as a test-only reference: ``rng.geometric(...).max(axis=1)``,
-    zero-started totals and index arrays for every trial."""
+    """The sampler as a plain array algebra folded by ``Ladder.fold``, as it
+    was before its link maxima came from exponentials: a race takes
+    ``rng.geometric(...).max(axis=1)`` for its links, a restart zero-started
+    totals and index arrays for every trial."""
     prob = entangle_success_prob(config.link.p_em, channel_efficiency(config.link))
     unit = config.link.attempt_duration_s
-    tc = config.link.classical_time_s
-    ladder = Ladder(config)
-    ladder.pair(config.depth)
-    levels = ladder.levels
 
-    def sample_links(count, racers):
-        draws = rng.geometric(prob, size=(count, racers))
-        return draws.max(axis=1).astype(float) * unit
+    def race(pairs, links, wait):
+        def draw(count):
+            racers = [x(count) for x in pairs]  # in chain order, then the links
+            if links:
+                racers.append(rng.geometric(prob, (count, links)).max(axis=1) * unit)
+            return np.maximum.reduce(racers) + wait
+        return draw
 
-    def restarting(sample_base, sample_round, level, probs, count):
-        total = np.zeros(count)
-        pending = np.arange(count)
-        while pending.size:
-            attempt = sample_base(level, pending.size)
-            live = np.arange(pending.size)
-            for q in probs:
-                attempt[live] += sample_round(level, live.size) + tc
-                live = live[rng.random(live.size) < q]
-                if not live.size:
-                    break
-            total[pending] += attempt
-            failed = np.ones(pending.size, dtype=bool)
-            failed[live] = False
-            pending = pending[failed]
-        return total
+    def restart(base, round_, tc, probs):
+        def draw(count):
+            total = np.zeros(count)
+            pending = np.arange(count)
+            while pending.size:
+                attempt = base(pending.size)
+                live = np.arange(pending.size)
+                for q in probs:
+                    attempt[live] += round_(live.size) + tc
+                    live = live[rng.random(live.size) < q]
+                    if not live.size:
+                        break
+                total[pending] += attempt
+                failed = np.ones(pending.size, dtype=bool)
+                failed[live] = False
+                pending = pending[failed]
+            return total
+        return draw
 
-    def sample_level(level, count):
-        if level < 0:
-            return sample_links(count, 1)
-        return restarting(sample_b, sample_c, level, levels[level].step_probs, count)
-
-    def sample_swapped(level, count):
-        if level < 0:
-            return sample_links(count, 2) + tc
-        return np.maximum(sample_level(level, count), sample_level(level, count)) + tc
-
-    def sample_b(level, count):
-        if level == 0:
-            return sample_links(count, 3) + tc
-        stage = np.maximum(sample_level(level - 1, count), sample_level(level - 1, count))
-        return np.maximum(stage, sample_links(count, 1)) + tc
-
-    def sample_c(level, count):
-        if level == 0:
-            return sample_links(count, 3) + tc
-        helper_q = (levels[level].helper_q,)
-        stage = np.maximum(
-            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
-            restarting(sample_swapped, sample_swapped, level - 2, helper_q, count),
-        )
-        return np.maximum(stage, sample_links(count, 3)) + tc
-
-    return sample_level(len(levels) - 1, trials)
+    return Ladder(config).fold((race, restart), [], config.depth)(trials)
 
 
 def sampler_config(span, m, f0, tc_s):
@@ -840,6 +810,9 @@ def numpy_loaded():
 
 
 class TestSamplerMatchesGeometricReference:
+    """The sampler's float paths, merged draws and tail hand-offs against a
+    plain array algebra on the same fold, draw for draw."""
+
     # One trial runs on floats, and restarts hand a last trial to them.
     @pytest.mark.parametrize("trials", [1, 2, 3, 40])
     @pytest.mark.parametrize("m", [0, 1, 3, (2, 0, 1, 0)], ids=str)
