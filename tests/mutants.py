@@ -9,25 +9,27 @@ mutant in :data:`MUTANTS`: it copies the checkout into a temporary
 directory (leaving out ``.git``, ``.hypothesis``, ``.pytest_cache``,
 ``bench/out`` and bytecode caches), applies that one edit and runs
 
-    PYTHONPATH=src python -m pytest -q -p no:cacheprovider --hypothesis-seed=0 -rfE
+    PYTHONPATH=src python -m pytest -v -p no:cacheprovider --hypothesis-seed=0 -rfE
 
-there, one process at a time.  ``-rfE`` lists errors as well as failures, so
-a mutant that breaks collection or a fixture still names what caught it.
+there, one process at a time.  ``-v`` prints each test's outcome as it ends,
+so a run cut off by the timeout still names the tests that failed before it,
+and ``-rfE`` names a module that fails to collect.
 ``tests/test_mutants.py`` is left out of these runs: it checks that each
 mutant applies to the unedited tree, so it fails on every mutated one.
 
 Progress goes to stderr.  The JSON kill map goes to stdout: for each mutant,
-the ids of the tests that failed on it (less any that fail on the unedited
-copy), or ``["timeout"]`` when the run passed :data:`TIMEOUT_S`, which counts
-as a kill.  An empty list is a survivor, and any survivor makes the exit
-status 1.  Each run takes at least as long as tier-1, and a failing one
-longer.
+the ids of the tests that failed or errored on it (less any that fail on the
+unedited copy), followed by ``"timeout"`` when the run passed
+:data:`TIMEOUT_S`, which counts as a kill.  An empty list is a survivor, and
+any survivor makes the exit status 1.  Each run takes at least as long as
+tier-1, and a failing one longer.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,11 +41,16 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
 PYTEST = [
-    "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "-rfE",
+    "-m", "pytest", "-v", "-p", "no:cacheprovider", "--hypothesis-seed=0", "-rfE",
     "--ignore=tests/test_mutants.py",
 ]
 SKIP_NAMES = {".git", ".hypothesis", ".pytest_cache", "__pycache__"}
 SKIP_PATHS = {ROOT / "bench" / "out"}
+#: ``-v``'s line for a test that failed or errored: its id, which may hold
+#: spaces, then the outcome and, where the line has room, the progress.
+OUTCOME = re.compile(r"(?P<id>\S+::.+) (?:FAILED|ERROR)(?: +\[ *\d+%\])?")
+#: ``-rfE``'s line for a module that failed to collect, which ``-v`` never names.
+COLLECTION_ERROR = re.compile(r"ERROR (?P<id>[^\s:]+)(?: - .*)?")
 
 
 class Mutant(NamedTuple):
@@ -259,9 +266,18 @@ def _ignore(directory, names):
     return [n for n in names if n in SKIP_NAMES or Path(directory, n) in SKIP_PATHS]
 
 
-def run_suite(mutant: Mutant | None) -> tuple[list[str] | None, float]:
+def failed_tests(output: str) -> list[str]:
+    """The ids of the tests that failed or errored in a run's stdout, which
+    may stop anywhere, even mid-line."""
+    return sorted({
+        match["id"] for line in output.splitlines()
+        if (match := OUTCOME.fullmatch(line) or COLLECTION_ERROR.fullmatch(line))
+    })
+
+
+def run_suite(mutant: Mutant | None) -> tuple[list[str], bool, float]:
     """Tier-1 on a fresh copy with ``mutant`` applied: the ids of the tests that
-    failed or errored (None on a timeout) and the wall seconds."""
+    failed or errored, whether the run timed out, and the wall seconds."""
     with tempfile.TemporaryDirectory(prefix="qrepeater-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_ignore)
@@ -275,32 +291,32 @@ def run_suite(mutant: Mutant | None) -> tuple[list[str] | None, float]:
                 [sys.executable, *PYTEST], cwd=copy, env=env,
                 capture_output=True, text=True, timeout=TIMEOUT_S,
             )
-        except subprocess.TimeoutExpired:
-            return None, time.perf_counter() - start
+        except subprocess.TimeoutExpired as exc:
+            # The output so far comes as bytes, even with text=True.
+            output = exc.stdout or b""
+            if isinstance(output, bytes):
+                output = output.decode(errors="replace")
+            return failed_tests(output), True, time.perf_counter() - start
         seconds = time.perf_counter() - start
-    failed = sorted({
-        line.split(" ", 1)[1].split(" - ", 1)[0]
-        for line in proc.stdout.splitlines()
-        if line.startswith(("FAILED ", "ERROR "))
-    })
+    failed = failed_tests(proc.stdout)
     if proc.returncode not in (0, 1) and not failed:
         failed = [f"pytest exit {proc.returncode}"]
-    return failed, seconds
+    return failed, False, seconds
 
 
 def main() -> int:
     for mutant in MUTANTS:  # a stale mutant stops the run before any suite runs
         mutate(source_path(ROOT, mutant).read_text(), mutant)
-    baseline, seconds = run_suite(None)
-    if baseline is None:
+    baseline, timed_out, seconds = run_suite(None)
+    if timed_out:
         sys.exit(f"the unedited suite timed out after {TIMEOUT_S} s")
     print(f"unedited: {len(baseline)} failing, {seconds:.1f} s", file=sys.stderr)
     kills = {}
     for i, mutant in enumerate(MUTANTS, start=1):
-        failed, seconds = run_suite(mutant)
-        kills[mutant.name] = ["timeout"] if failed is None else [
-            test for test in failed if test not in baseline
-        ]
+        failed, timed_out, seconds = run_suite(mutant)
+        kills[mutant.name] = [test for test in failed if test not in baseline] + (
+            ["timeout"] if timed_out else []
+        )
         print(f"[{i}/{len(MUTANTS)}] {mutant.name}: {len(kills[mutant.name])} killers,"
               f" {seconds:.1f} s", file=sys.stderr)
     survivors = [name for name, killers in kills.items() if not killers]

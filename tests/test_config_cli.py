@@ -251,12 +251,6 @@ class TestCmdHeadline:
 
 
 class TestMainEntry:
-    def test_print_config(self, capsys):
-        code = main(["link", "--print-config", "--m", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "m = 1" in out
-
     @pytest.mark.parametrize("command", ["link", "simulate", "fixed-point", "headline"])
     def test_print_config_is_a_config_file(self, command, tmp_path, capsys):
         # The defaults leave f0 and tc_s unset, which --print-config writes as None.
@@ -276,40 +270,6 @@ class TestMainEntry:
         code = main(["link", "--config", str(path), "--m", "1", "--print-config"])
         assert code == 0
         assert "m = 1" in capsys.readouterr().out
-
-    def test_validation_error_exit_code(self, capsys):
-        code = main(["link", "--p-em", "1.5"])
-        assert code == 2
-        assert "p_em" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--t0-s", "--tc-s", "--attenuation-db-per-km"])
-    def test_nan_link_flag_exit_code(self, flag, capsys):
-        assert main(["simulate", f"{flag}=nan"]) == 2
-        assert flag[2:].replace("-", "_") + " must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("distance", ["inf", "nan", "-5", "0"])
-    def test_headline_rejects_bad_distance(self, distance, capsys):
-        assert main(["headline", f"--distance-km={distance}"]) == 2
-        assert "distance_km must be finite and > 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("distance", ["1e80", "1e300"])
-    def test_headline_time_overflow_names_the_level(self, distance, capsys):
-        assert main(["headline", f"--distance-km={distance}"]) == 2
-        assert "expected time overflows a float at level 208" in capsys.readouterr().err
-
-    def test_headline_span_overflow_names_distance_and_l0(self, capsys):
-        # 1e308 / 1e-3 is infinite, so no span can be rounded up from it.
-        assert main(["headline", "--distance-km", "1e308", "--l0-km", "1e-3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "distance_km / l0_km overflows a float" in err
-
-    def test_headline_span_underflow_names_distance_and_l0(self, capsys):
-        # 1e-320 / 1e10 rounds to 0, from which no span can be rounded up.
-        assert main(["headline", "--distance-km", "1e-320", "--l0-km", "1e10"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "distance_km / l0_km underflows to 0: 1e-320 / 10000000000.0" in err
 
     def test_headline_rounded_span_overflow_exits_2_in_a_process(self):
         # 1e308 / 1 is finite, but its rounded span 2^1024 - 1 times l0_km is not;
@@ -340,51 +300,15 @@ class TestMainEntry:
         path = tmp_path / "run.cfg"
         path.write_text("seed = -3\n")
         assert main(["simulate", "--config", str(path)]) == 2
-        assert main(["simulate", "--seed", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert "seed must be an int >= 0, got -3" in err
-        assert "seed must be an int >= 0, got -1" in err
+        assert "seed must be an int >= 0, got -3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, km",
-        [(c, km) for c in ("simulate", "fixed-point") for km in ("1420", "1440", "1460", "5000")]
-        # headline's own p_em and eps_local give P = 0 at 1460 km.
-        + [("headline", "1420"), ("headline", "1440"), ("headline", "5000")],
-    )
-    def test_link_probability_below_float_resolution(self, command, km, capsys):
-        # 0 < P = 5.55e-17 < eps/2, so 1 - P rounds to 1 and the link's
-        # geometric wait would divide by zero.  At 5000 km P = 0, and every
-        # command prints the ladder's message for it.
-        assert main([command, "--l0-km", km]) == 2
-        if km == "5000":
-            assert capsys.readouterr().err == "error: elementary link never succeeds (P = 0)\n"
-        else:
-            assert "P = 5.551e-17 is below float resolution" in capsys.readouterr().err
-
-    def test_sweep_row_below_float_resolution(self, capsys):
-        assert main(["sweep", "--axis", "l0_km=1400,1440", "--target-span", "3"]) == 0
-        header, rows = data_rows(capsys.readouterr().out)
-        errors = [dict(zip(header, row))["error"] for row in rows]
-        assert errors[0] == ""
-        assert "P = 5.551e-17 is below float resolution" in errors[1]
-
-    def test_repeated_axis_rejected(self, capsys):
-        assert main(["sweep", "--axis", "m=1", "--axis", "m=2"]) == 2
-        assert "duplicate axis 'm'" in capsys.readouterr().err
-
-    def test_headline_defaults(self, capsys):
-        code = main(["headline", "--print-config"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "p_em = 0.08" in out and "m = 1" in out
-
-    def test_csv_written_to_out(self, tmp_path):
+    def test_csv_written_to_out(self, tmp_path, capsys):
+        # COMMAND_BYTES reads stdout, so --out must write stdout's bytes.
         out_path = tmp_path / "link.csv"
-        code = main(["link", "--out", str(out_path)])
-        assert code == 0
-        text = out_path.read_text()
-        assert text.startswith("# qrepeater link\n")
-        assert "efficiency,success_prob" in text
+        assert main(["link", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["link"]) == 0
+        assert out_path.read_bytes() == capsys.readouterr().out.encode()
 
     def test_unwritable_out_is_an_error_line(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"

@@ -526,11 +526,6 @@ class TestOneFold:
 class TestLinkTimeOverflow:
     MESSAGE = "expected time overflows a float at the elementary link"
 
-    @pytest.mark.parametrize("command", ["headline", "simulate"])
-    def test_command_exits_2_naming_the_link(self, command, capsys):
-        assert cli.main([command, "--t0-s", "1e200"]) == 2
-        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
-
     def test_ladder_time_raises_a_protocol_error(self):
         link = LinkParams(t0_s=1e200)
         cfg = ProtocolConfig(link=link, noise=NoiseParams(0.995, 0.995), m=3, target_span=3)
