@@ -205,7 +205,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` of that one alone:
+    each other command is then registered by name only, so the usage line
+    of an argparse error still lists them all."""
     parser = argparse.ArgumentParser(
         prog="qrepeater",
         description="Two-qubit-per-node quantum repeater simulator",
@@ -213,14 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # One parser per flag set, shared by reference; a command's own flag comes first.
     common = _flag_parser(_COMMON_FLAGS)
-    own = {flag: _flag_parser({flag: kwargs}) for flag, kwargs in _OWN_FLAGS.items()}
+    own = {flag: _flag_parser({flag: kwargs}) for flag, kwargs in _OWN_FLAGS.items()
+           if command is None or flag == COMMANDS[command][1]}
     for name, (help_text, flag, _, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, parents=[own[flag], common] if flag else [common])
+        if command not in (None, name):
+            sub.add_parser(name, add_help=False)
+        else:
+            sub.add_parser(name, help=help_text, parents=[own[flag], common] if flag else [common])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     _, _, defaults, render = COMMANDS[args.command]
     try:
         config = _resolve(args, defaults)

@@ -11,16 +11,18 @@ directory (leaving out ``.git``, ``.hypothesis``, ``.pytest_cache``,
 
     PYTHONPATH=src python -m pytest -v -p no:cacheprovider --hypothesis-seed=0 -rfE
 
-there, one process at a time.  ``-v`` prints each test's outcome as it ends,
-so a run cut off by the timeout still names the tests that failed before it,
-and ``-rfE`` names a module that fails to collect.
+there, as many runs at a time as the CPUs this process may use.  ``-v``
+prints each test's outcome as it ends, so a run cut off by the timeout
+still names the tests that failed before it, and ``-rfE`` names a module
+that fails to collect.
 ``tests/test_mutants.py`` is left out of these runs: it checks that each
 mutant applies to the unedited tree, so it fails on every mutated one.
 
-Progress goes to stderr.  The JSON kill map goes to stdout: for each mutant,
-the ids of the tests that failed or errored on it (less any that fail on the
-unedited copy), followed by ``"timeout"`` when the run passed
-:data:`TIMEOUT_S`, which counts as a kill.  An empty list is a survivor, and
+Progress goes to stderr as each run ends.  The JSON kill map goes to
+stdout, in the order of :data:`MUTANTS`: for each mutant, the ids of the
+tests that failed or errored on it (less any that fail on the unedited
+copy), followed by ``"timeout"`` when the run passed :data:`TIMEOUT_S`,
+which counts as a kill.  An empty list is a survivor, and
 any survivor makes the exit status 1.  Each run takes at least as long as
 tier-1, and a failing one longer.
 """
@@ -35,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import NamedTuple
 
@@ -248,6 +251,9 @@ MUTANTS = [
     Mutant("csv-digits", "cli.py",
            "f\"{v:.12g}\"", "f\"{v:.11g}\"",
            "the CSV prints one digit fewer"),
+    Mutant("named-parser-stubs", "cli.py",
+           "sub.add_parser(name, add_help=False)", "pass",
+           "a named build leaves the other commands out of the top-level usage line"),
 ]
 
 
@@ -311,14 +317,17 @@ def main() -> int:
     if timed_out:
         sys.exit(f"the unedited suite timed out after {TIMEOUT_S} s")
     print(f"unedited: {len(baseline)} failing, {seconds:.1f} s", file=sys.stderr)
-    kills = {}
-    for i, mutant in enumerate(MUTANTS, start=1):
-        failed, timed_out, seconds = run_suite(mutant)
-        kills[mutant.name] = [test for test in failed if test not in baseline] + (
-            ["timeout"] if timed_out else []
-        )
-        print(f"[{i}/{len(MUTANTS)}] {mutant.name}: {len(kills[mutant.name])} killers,"
-              f" {seconds:.1f} s", file=sys.stderr)
+    kills = dict.fromkeys(mutant.name for mutant in MUTANTS)
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        runs = {pool.submit(run_suite, mutant): mutant.name for mutant in MUTANTS}
+        for i, run in enumerate(as_completed(runs), start=1):
+            failed, timed_out, seconds = run.result()
+            name = runs[run]
+            kills[name] = [test for test in failed if test not in baseline] + (
+                ["timeout"] if timed_out else []
+            )
+            print(f"[{i}/{len(MUTANTS)}] {name}: {len(kills[name])} killers, {seconds:.1f} s",
+                  file=sys.stderr)
     survivors = [name for name, killers in kills.items() if not killers]
     json.dump(
         {"unedited_failures": baseline, "killed": len(kills) - len(survivors),

@@ -11,8 +11,10 @@ length re-derives its classical time ``tc_s``), the ``simulate`` and
 ``fixed-point`` span tables and their errors at 11d0378 (where each command
 still walked its spans on its own), the ``fixed-point`` grid whose link
 time overflows at 349ee13, the ``headline`` and ``link`` errors at 74f73b1
-(where both still computed their numbers in the CLI), and the rows
-from the 1420 km links onward at c332302.  The CSV digests were first taken
+(where both still computed their numbers in the CLI), the rows
+from the 1420 km links onward at c332302, and argparse's own errors (with
+``COLUMNS=80``) at 81b0a10, where every command line still built the
+parser of every command.  The CSV digests were first taken
 of the file ``--out`` writes, which holds stdout's bytes.  Any change to a
 number, its formatting, the header comments, a flag or an error message
 shows up here, and a first failing span must keep its message.
@@ -23,7 +25,7 @@ import sys
 
 import pytest
 
-from qrepeater.cli import main
+from qrepeater.cli import COMMANDS, build_parser, main
 
 UNPURIFIABLE = "--f0 0.0 --p 1 --eta 1 --attenuation-db-per-km 0 --p-em 0.1"
 P_ZERO = "error: elementary link never succeeds (P = 0)\n"
@@ -44,6 +46,15 @@ def printed(digest):
 def error(message):
     """A command that exits 2 and prints only this error line."""
     return (2, None, f"error: {message}\n")
+
+
+def refused(usage, message, prog="qrepeater"):
+    """A command line that argparse refuses: exit 2, its usage and its error line."""
+    return (2, None, f"usage: {usage}\n{prog}: error: {message}\n")
+
+
+#: The top-level usage line, which names every command.
+USAGE = "qrepeater [-h] {link,simulate,fixed-point,sweep,headline} ..."
 
 
 COMMAND_BYTES = {
@@ -192,12 +203,34 @@ COMMAND_BYTES = {
         printed("78f70d8c70f4ae7b5d4af037b57b51dbcddd3006dd88820747eb8a3e35594a73"),
     "headline --print-config":
         printed("8cf1498040adc4c2255e235bc49775ddf98b4c4568c7a9ed75952b19aa551051"),
+    # Command lines that argparse refuses, laid out by Python 3.11's argparse.
+    # A second command name is left over from the first command's parse, and
+    # the top-level usage line still names every command.
+    "": refused(USAGE, "the following arguments are required: command"),
+    "bogus": refused(USAGE, "argument command: invalid choice: 'bogus' (choose from"
+                            " 'link', 'simulate', 'fixed-point', 'sweep', 'headline')"),
+    "sweep headline": refused(USAGE, "unrecognized arguments: headline"),
+    "simulate --m x": refused(
+        "qrepeater simulate [-h] [--config PATH] [--out PATH] [--seed SEED]\n"
+        "                          [--trials TRIALS] [--print-config] [--l0-km L0_KM]\n"
+        "                          [--attenuation-db-per-km ATTENUATION_DB_PER_KM]\n"
+        "                          [--p-em P_EM] [--eps-local EPS_LOCAL] [--t0-s T0_S]\n"
+        "                          [--tc-s TC_S] [--p P] [--eta ETA]\n"
+        "                          [--upsilon UPSILON] [--m M]\n"
+        "                          [--target-span TARGET_SPAN] [--f0 F0]",
+        "argument --m: invalid int value: 'x'", prog="qrepeater simulate",
+    ),
 }
+
+
+def laid_out_by_argparse(command):
+    """Whether argparse writes the row's bytes: a help text or a usage error."""
+    return command.endswith("--help") or COMMAND_BYTES[command][2].startswith("usage:")
 
 
 @pytest.mark.parametrize("command", COMMAND_BYTES)
 def test_command_prints_the_recorded_bytes(command, monkeypatch, capsys):
-    if command.endswith("--help") and sys.version_info[:2] != (3, 11):
+    if laid_out_by_argparse(command) and sys.version_info[:2] != (3, 11):
         pytest.skip("recorded with Python 3.11's argparse layout")
     monkeypatch.setenv("COLUMNS", "80")
     try:
@@ -207,3 +240,24 @@ def test_command_prints_the_recorded_bytes(command, monkeypatch, capsys):
     out, err = capsys.readouterr()
     digest = hashlib.sha256(out.encode()).hexdigest() if out else None
     assert (code, digest, err) == COMMAND_BYTES[command]
+
+
+def parse(parser, argv, capsys):
+    """What ``parser`` makes of ``argv``: the repr of its namespace (``nan``
+    never equals itself), or the exit code, and what it printed."""
+    try:
+        result = repr(vars(parser.parse_args(argv)))
+    except SystemExit as exited:
+        result = exited.code
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in COMMAND_BYTES if c.split()[:1] and c.split()[0] in COMMANDS]
+)
+def test_the_named_build_parses_like_the_full_build(command, monkeypatch, capsys):
+    # main builds only the parser of the command it runs; any other first
+    # word takes the full build, which the rows above pin.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = command.split()
+    assert parse(build_parser(argv[0]), argv, capsys) == parse(build_parser(), argv, capsys)
