@@ -204,8 +204,8 @@ COMMAND_BYTES = {
     "headline --print-config":
         printed("8cf1498040adc4c2255e235bc49775ddf98b4c4568c7a9ed75952b19aa551051"),
     # Command lines that argparse refuses, laid out by Python 3.11's argparse.
-    # A second command name is left over from the first command's parse, and
-    # the top-level usage line still names every command.
+    # In "sweep headline" the second name is an argument sweep does not take,
+    # and the top-level usage line still names every command.
     "": refused(USAGE, "the following arguments are required: command"),
     "bogus": refused(USAGE, "argument command: invalid choice: 'bogus' (choose from"
                             " 'link', 'simulate', 'fixed-point', 'sweep', 'headline')"),
@@ -253,7 +253,7 @@ def parse(parser, argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [c for c in COMMAND_BYTES if c.split()[:1] and c.split()[0] in COMMANDS]
+    "command", [c for c in COMMAND_BYTES if c.partition(" ")[0] in COMMANDS]
 )
 def test_the_named_build_parses_like_the_full_build(command, monkeypatch, capsys):
     # main builds only the parser of the command it runs; any other first
