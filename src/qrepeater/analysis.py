@@ -193,6 +193,8 @@ def table(
     is built."""
     if not axes or any(len(values) == 0 for values in axes.values()):
         raise ValueError("sweep needs at least one axis with at least one value")
+    if clash := next((name for name in axes if name in ("p", "eta") and "p_eta" in axes), None):
+        raise ValueError(f"axes 'p_eta' and {clash!r} both set {clash}")
     results = [name for name in columns if name != "error"]
     if unknown := [name for name in results if name not in COLUMNS]:
         raise ValueError(f"unknown columns: {unknown}")

@@ -151,14 +151,6 @@ def _parse_axes(specs: list[str] | None) -> dict:
     return axes
 
 
-def _flag_parser(flags: dict) -> argparse.ArgumentParser:
-    """A help-less parser of ``{flag: add_argument keywords}``, for ``parents``."""
-    parser = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs in flags.items():
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
 def _resolve(args: argparse.Namespace, defaults: dict | None) -> RunConfig:
     """Precedence: built-in defaults < command defaults < config file < flags."""
     merged = dict(defaults or {})
@@ -182,53 +174,50 @@ _COMMON_FLAGS = {
     **{f"--{key.replace('_', '-')}": {"type": t, "dest": key} for key, t in _PHYSICAL_TYPES.items()},
 }
 
-#: The flags that a command takes before the common ones.
-_OWN_FLAGS = {
-    "--oracle": {"action": "store_true", "help": "append photon-mode Monte Carlo estimates"},
-    "--axis": {"action": "append", "metavar": "NAME=V1,V2,..."},
-    "--distance-km": {"type": float, "default": 1000.0},
-}
+#: The flag of the commands that take a grid.
+_AXIS_FLAG = {"--axis": {"action": "append", "metavar": "NAME=V1,V2,..."}}
 
-#: Every command, in ``--help`` order: its help, its own flag (or None), its
-#: defaults and the call that renders its CSV from the config and the args.
+#: Every command, in ``--help`` order: its help, the flags it takes before
+#: the common ones, its defaults and the call that renders its CSV from the
+#: config and the args.
 COMMANDS = {
-    "link": ("elementary-link closed forms", "--oracle", None,
-             lambda config, args: cmd_link(config, oracle=args.oracle)),
-    "simulate": ("fidelity and time vs distance", None, None,
+    "link": ("elementary-link closed forms",
+             {"--oracle": {"action": "store_true", "help": "append photon-mode Monte Carlo estimates"}},
+             None, lambda config, args: cmd_link(config, oracle=args.oracle)),
+    "simulate": ("fidelity and time vs distance", {}, None,
                  lambda config, args: cmd_simulate(config)),
-    "fixed-point": ("pumping fixed points and asymptote", "--axis", None,
+    "fixed-point": ("pumping fixed points and asymptote", _AXIS_FLAG, None,
                     lambda config, args: cmd_fixed_point(config, _parse_axes(args.axis))),
-    "sweep": ("parameter grids", "--axis", None,
+    "sweep": ("parameter grids", _AXIS_FLAG, None,
               lambda config, args: cmd_sweep(config, _parse_axes(args.axis))),
-    "headline": ("the 1000 km scenario", "--distance-km", HEADLINE_DEFAULTS,
+    "headline": ("the 1000 km scenario", {"--distance-km": {"type": float, "default": 1000.0}},
+                 HEADLINE_DEFAULTS,
                  lambda config, args: cmd_headline(config, distance_km=args.distance_km)),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or with ``command`` of that one alone:
-    each other command is then registered by name only, so the usage line
-    of an argparse error still lists them all."""
+    """Every command by name and help line, for argparse's listings of them,
+    and the flags of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="qrepeater",
         description="Two-qubit-per-node quantum repeater simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # One parser per flag set, shared by reference; a command's own flag comes first.
-    common = _flag_parser(_COMMON_FLAGS)
-    own = {flag: _flag_parser({flag: kwargs}) for flag, kwargs in _OWN_FLAGS.items()
-           if command is None or flag == COMMANDS[command][1]}
-    for name, (help_text, flag, _, _) in COMMANDS.items():
-        if command not in (None, name):
-            sub.add_parser(name, add_help=False)
-        else:
-            sub.add_parser(name, help=help_text, parents=[own[flag], common] if flag else [common])
+    for name, (help_text, flags, _, _) in COMMANDS.items():
+        if name != command:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        own = sub.add_parser(name, help=help_text)
+        for flag, kwargs in {**flags, **_COMMON_FLAGS}.items():
+            own.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    # No top-level option takes a value: the first command word is the one argparse runs.
+    args = build_parser(next((w for w in argv if w in COMMANDS), None)).parse_args(argv)
     _, _, defaults, render = COMMANDS[args.command]
     try:
         config = _resolve(args, defaults)

@@ -252,8 +252,12 @@ MUTANTS = [
            "f\"{v:.12g}\"", "f\"{v:.11g}\"",
            "the CSV prints one digit fewer"),
     Mutant("named-parser-stubs", "cli.py",
-           "sub.add_parser(name, add_help=False)", "pass",
+           "sub.add_parser(name, help=help_text, add_help=False)", "pass",
            "a named build leaves the other commands out of the top-level usage line"),
+    Mutant("first-command-word", "cli.py",
+           "next((w for w in argv if w in COMMANDS), None)",
+           "next((w for w in argv[:1] if w in COMMANDS), None)",
+           "main names the build by the first word alone, not the first command word"),
 ]
 
 

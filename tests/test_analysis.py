@@ -262,6 +262,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(make_config(), {"m": []})
 
+    @pytest.mark.parametrize("axes, clash", [
+        ({"p_eta": [0.99], "p": [0.9, 0.99]}, "p"),
+        ({"eta": [0.9], "m": [1], "p_eta": [0.99]}, "eta"),
+    ])
+    def test_p_eta_beside_p_or_eta_rejected(self, axes, clash):
+        # p_eta would set only the one of p and eta that no other axis sets.
+        with pytest.raises(ValueError, match=f"axes 'p_eta' and '{clash}' both set {clash}$"):
+            sweep(make_config(), axes)
+
     def test_unknown_column_rejected(self):
         # A misspelt column is an error, not a row without it; "error" is a
         # column the CLI names.
